@@ -25,14 +25,14 @@ def _build_parser():
     p.add_argument("sexpr")
 
     p = sub.add_parser("forest", help="all valid trees for n labels, height <= h")
-    p.add_argument("--labels", type=int, required=True)
-    p.add_argument("--height", type=int, required=True)
+    p.add_argument("--labels", type=_natural, required=True)
+    p.add_argument("--height", type=_natural, required=True)
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--dot", action="store_true")
 
     p = sub.add_parser("count", help="exact forest size without enumeration")
-    p.add_argument("--labels", type=int, required=True)
-    p.add_argument("--height", type=int, required=True)
+    p.add_argument("--labels", type=_natural, required=True)
+    p.add_argument("--height", type=_natural, required=True)
 
     p = sub.add_parser("sieve", help="primes in (q, 2q)")
     p.add_argument("q", type=int)
@@ -42,12 +42,23 @@ def _build_parser():
 
     p = sub.add_parser("rationals", help="duplicate-free enumeration of Q+")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--count", type=int)
+    group.add_argument("--count", type=_natural)
     group.add_argument("--locate")
-    p.add_argument("--max-stage", type=int)
+    p.add_argument("--max-stage", type=_natural)
 
     sub.add_parser("selftest", help="run oracle cross-checks")
     return parser
+
+
+def _natural(text):
+    """argparse type for counts and sizes: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0: {text}")
+    return value
 
 
 def _parse_rational(text):
@@ -99,8 +110,7 @@ def _forest_dot(forest, out):
 
 def _cmd_forest(args, out):
     if args.count_only:
-        print(generator.g_count(args.labels, args.height), file=out)
-        return 0
+        return _cmd_count(args, out)
     forest = generator.g_forest(args.labels, args.height)
     if args.dot:
         _forest_dot(forest, out)
@@ -111,7 +121,11 @@ def _cmd_forest(args, out):
 
 
 def _cmd_count(args, out):
-    print(generator.g_count(args.labels, args.height), file=out)
+    # refuse, before computing it, a count too long for int-to-str
+    limit = sys.get_int_max_str_digits()
+    count = generator.g_count(args.labels, args.height,
+                              10 ** limit - 1 if limit else None)
+    print(count, file=out)
     return 0
 
 

@@ -8,8 +8,10 @@ associate).  Encoding inverts this by recursively factoring.
 from fractions import Fraction
 from math import gcd
 
-from .errors import InverseLabelPresent, MisplacedInverse, ZeroInput
-from .primes import prime_index_of
+from .errors import (DomainError, InverseLabelPresent, MisplacedInverse,
+                     SizeOverBudget, ZeroInput)
+from .primes import (TABLE_CAP, is_prime, prime_by_index, prime_index_of,
+                     table_primes)
 from .tree_core import SINGLETON, Label, Tree
 
 
@@ -66,7 +68,8 @@ def eval_rational_tree(t):
             num *= e
     # reduced by construction: a prime never heads both a plain and an
     # inverted root branch
-    assert gcd(num, den) == 1
+    if gcd(num, den) != 1:
+        raise DomainError(f"tree evaluates to the unreduced {num}/{den}")
     return Fraction(num, den)
 
 
@@ -123,19 +126,41 @@ def eval_bounded(t, bound):
 
 
 def factor(m):
-    """Prime factorization of m >= 2 by trial division, ascending primes."""
+    """Prime factorization of m >= 2, ascending primes.
+
+    Divides only by table primes p, and only while p * p <= the cofactor.
+    When the table runs out first, a prime cofactor ends the search;
+    otherwise the table grows.
+    """
     if m < 2:
         raise ValueError("factor needs m >= 2")
     out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            out.append((d, e))
-        d += 1 if d == 2 else 2
-    if m > 1:
-        out.append((m, 1))
+    rest = m
+    k = 0
+    while True:
+        for p in table_primes(k):
+            if p * p > rest:
+                break
+            if rest % p == 0:
+                e = 0
+                while rest % p == 0:
+                    rest //= p
+                    e += 1
+                out.append((p, e))
+        else:
+            # the table ran out with p * p <= rest: unless rest is prime,
+            # go on past p
+            if not is_prime(rest):
+                k = prime_index_of(p) + 1
+                try:
+                    prime_by_index(k)       # grows the table past p
+                except SizeOverBudget:
+                    raise SizeOverBudget(
+                        f"{m} leaves the composite cofactor {rest}, which has "
+                        f"no prime factor below the prime table cap {TABLE_CAP}",
+                        requested=m, cap=TABLE_CAP) from None
+                continue
+        break
+    if rest > 1:
+        out.append((rest, 1))
     return out

@@ -22,7 +22,13 @@ class ZeroInput(DomainError):
 
 
 class SizeOverBudget(DomainError):
-    """A requested enumeration would exceed the configured size cap."""
+    """A request would exceed a size cap; ``requested`` and ``cap`` hold
+    the two sizes when the raiser knows them."""
+
+    def __init__(self, message, requested=None, cap=None):
+        super().__init__(message)
+        self.requested = requested
+        self.cap = cap
 
 
 class NotPrime(DomainError):

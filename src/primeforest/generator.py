@@ -9,7 +9,8 @@ generation by integer value instead of height.
 
 import itertools
 
-from .errors import SizeOverBudget
+from .codec import ilog
+from .errors import DomainError, SizeOverBudget
 from .forest_algebra import Forest, UNIT_FOREST, graft_forests, raise_forest
 from .primes import prime_by_index
 from .tree_core import SINGLETON, Label, Tree, label_tree
@@ -19,23 +20,32 @@ DEFAULT_CAP = 10 ** 7
 _g_cache = {}
 
 
-def g_count(n, h):
+def g_count(n, h, cap=None):
     """Number of validly labeled trees over n labels with height <= h.
 
-    S_0 = 1, S_i = (1 + S_{i-1})^n; exact big-integer arithmetic.
+    S_0 = 1, S_i = (1 + S_{i-1})^n; exact big-integer arithmetic.  Given a
+    cap, a count above it raises SizeOverBudget, and each step's bit
+    length is bounded before its power is taken, so no count far above
+    the cap is ever built.
     """
     s = 1
     for _ in range(h):
-        s = (1 + s) ** n
+        base = 1 + s
+        # base >= 2**(bit_length - 1), so base**n >= 2**cap.bit_length() > cap
+        if cap is not None and (base.bit_length() - 1) * n >= cap.bit_length():
+            raise SizeOverBudget(
+                f"g_count({n}, {h}) exceeds the cap {_approx(cap)}", cap=cap)
+        s = base ** n
+    if cap is not None and s > cap:
+        raise SizeOverBudget(
+            f"g_count({n}, {h}) = {_approx(s)} exceeds the cap {_approx(cap)}",
+            requested=s, cap=cap)
     return s
 
 
 def g_forest(n, h, cap=DEFAULT_CAP):
     """The forest of all validly labeled trees over n labels, height <= h."""
-    expected = g_count(n, h)
-    if expected > cap:
-        raise SizeOverBudget(
-            f"g_forest({n}, {h}) holds {_approx(expected)} trees, cap is {cap}")
+    g_count(n, h, cap)
     key = (n, h)
     if key in _g_cache:
         return _g_cache[key]
@@ -46,7 +56,9 @@ def g_forest(n, h, cap=DEFAULT_CAP):
             factor = UNIT_FOREST.union(raise_forest(label_tree(k), forest))
             grown = graft_forests(nxt, factor)
             # every pairwise graft must be distinct here
-            assert len(grown) == len(nxt) * len(factor)
+            if len(grown) != len(nxt) * len(factor):
+                raise DomainError(
+                    f"g_forest({n}, {i}): pairwise grafts collided")
             nxt = grown
         forest = nxt
         _g_cache[(n, i)] = forest
@@ -61,8 +73,7 @@ def all_valid_trees_bruteforce(n, h, cap=DEFAULT_CAP):
     recursively, any subtree of the next level down; slot k maps to
     label k.
     """
-    if g_count(n, h) > cap:
-        raise SizeOverBudget(f"brute-force space for ({n}, {h}) exceeds cap {cap}")
+    g_count(n, h, cap)
     return Forest(_subtrees(n, h))
 
 
@@ -122,7 +133,7 @@ def bounded_value_trees(prime_indices, bound):
             p, k = primes[j]
             if p > budget:
                 break
-            max_exp = _ilog(budget, p)
+            max_exp = ilog(budget, p)
             for e, etree in trees_upto(max_exp):
                 pe = p ** e
                 for v, branches in combos(j + 1, budget // pe):
@@ -137,12 +148,3 @@ def _approx(n):
     # huge counts overflow int-to-str conversion limits; show a magnitude
     digits = n.bit_length() * 30103 // 100000 + 1
     return str(n) if digits <= 30 else f"~10^{digits - 1}"
-
-
-def _ilog(n, base):
-    e = 0
-    acc = base
-    while acc <= n:
-        e += 1
-        acc *= base
-    return e

@@ -8,7 +8,7 @@ as a closing sentinel lets the gap scan see a prime at 2q - 1.
 """
 
 from .codec import OVER_BOUND, eval_bounded
-from .errors import NotPrime, SizeOverBudget
+from .errors import DomainError, NotPrime, SizeOverBudget
 from .forest_algebra import Forest, UNIT_FOREST, graft_forests, raise_forest
 from .generator import DEFAULT_CAP, bounded_value_trees
 from .primes import is_prime, prime_index_of, primes_upto
@@ -38,7 +38,8 @@ def composites_in_window(q):
     pairs = [(v, t) for v, t in bounded_value_trees(labels, 2 * q) if v > q]
     pairs.sort()
     # distinct trees never share a value (bijection); keep the tripwire on
-    assert len({v for v, _ in pairs}) == len(pairs)
+    if len({v for v, _ in pairs}) != len(pairs):
+        raise DomainError(f"two trees share a value in ({q}, {2 * q}]")
     return pairs
 
 

@@ -1,12 +1,27 @@
 import io
+import subprocess
+import sys
+from pathlib import Path
 
 from primeforest.cli import run
+from primeforest.generator import g_count
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def invoke(*argv):
     out, err = io.StringIO(), io.StringIO()
     code = run(list(argv), out=out, err=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def run_cli(*argv, flags=(), timeout=10):
+    """Run the CLI in a fresh interpreter; a hang fails on the timeout."""
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "primeforest.cli", *argv],
+        env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+        timeout=timeout)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def test_encode_integer():
@@ -122,6 +137,7 @@ def test_usage_errors():
     assert invoke("bogus")[0] == 2
     assert invoke("sieve", "7", "--nonsense")[0] == 2
     assert invoke("rationals")[0] == 2
+    assert invoke("rationals", "--count", "-3")[:2] == (2, "")
 
 
 def test_domain_error_decode():
@@ -139,4 +155,32 @@ def test_deterministic_output():
 def test_selftest():
     code, out, _ = invoke("selftest")
     assert code == 0
+    assert "FAIL" not in out
+
+
+def test_labels_past_the_prime_table_cap():
+    prime_30_digits = "100000000000000000000000000319"
+    for argv, value in ((["encode", "1000000000039"], "1000000000039"),
+                        (["decode", f"(r ({prime_30_digits}))"],
+                         prime_30_digits)):
+        code, out, err = run_cli(*argv, timeout=2)
+        assert (code, out) == (1, "")
+        assert value in err and "100000000" in err and "cap" in err
+
+
+def test_count_refuses_counts_too_long_to_print():
+    for argv in (["count", "--labels", "10", "--height", "10"],
+                 ["forest", "--labels", "10", "--height", "10",
+                  "--count-only"]):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (1, "")
+        assert "g_count(10, 10)" in err and "cap" in err
+    # 1,450 digits: under the default limit of 4,300, so it still prints
+    code, out, _ = invoke("count", "--labels", "2", "--height", "12")
+    assert (code, out) == (0, f"{g_count(2, 12)}\n")
+
+
+def test_selftest_under_optimize():
+    code, out, err = run_cli("selftest", flags=("-O",), timeout=60)
+    assert code == 0, out + err
     assert "FAIL" not in out
