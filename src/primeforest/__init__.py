@@ -25,11 +25,8 @@ from .errors import (
 )
 from .forest_algebra import (
     Forest,
-    contains,
-    difference,
     graft_forests,
     raise_forest,
-    union,
 )
 from .generator import (
     all_valid_trees_bruteforce,
@@ -57,9 +54,7 @@ from .tree_core import (
     Tree,
     compare,
     graft,
-    height,
     label_tree,
-    leaf_count,
     parse_sexpr,
     singleton,
     to_sexpr,

@@ -7,7 +7,7 @@ import itertools
 import sys
 
 from . import codec, generator, rationals, sieve
-from .errors import DomainError
+from .errors import DomainError, SizeOverBudget
 from .tree_core import parse_sexpr, to_sexpr
 
 
@@ -68,6 +68,12 @@ def _parse_rational(text):
     return int(text), 1
 
 
+def _print_cap():
+    """Largest integer that int-to-str will convert, or None if unlimited."""
+    limit = sys.get_int_max_str_digits()
+    return 10 ** limit - 1 if limit else None
+
+
 def _format_value(value):
     if value.denominator == 1:
         return str(value.numerator)
@@ -86,7 +92,8 @@ def _cmd_encode(args, out):
 
 def _cmd_decode(args, out):
     tree = parse_sexpr(args.sexpr)
-    print(_format_value(codec.eval_rational_tree(tree)), file=out)
+    value = codec.eval_rational_tree(tree, _print_cap())
+    print(_format_value(value), file=out)
     return 0
 
 
@@ -122,9 +129,7 @@ def _cmd_forest(args, out):
 
 def _cmd_count(args, out):
     # refuse, before computing it, a count too long for int-to-str
-    limit = sys.get_int_max_str_digits()
-    count = generator.g_count(args.labels, args.height,
-                              10 ** limit - 1 if limit else None)
+    count = generator.g_count(args.labels, args.height, _print_cap())
     print(count, file=out)
     return 0
 
@@ -151,8 +156,12 @@ def _cmd_rationals(args, out):
     emitted = 0
     budget = args.count
     if args.max_stage is not None:
-        # entries through stage S are exactly the members of h_forest(S, S)
-        budget = min(budget, rationals.h_count(args.max_stage, args.max_stage))
+        # entries through stage S are exactly the members of h_forest(S, S);
+        # a count above the budget leaves the budget as it is
+        try:
+            budget = rationals.h_count(args.max_stage, args.max_stage, budget)
+        except SizeOverBudget:
+            pass
     for value, tree in rationals.rational_stream():
         if emitted >= budget:
             break

@@ -50,22 +50,36 @@ def encode_integer(m):
         raise ZeroInput("negative integers have no tree")
     if m == 1:
         return SINGLETON
-    return Tree(tuple((Label(prime_index_of(p)), encode_integer(e))
-                      for p, e in factor(m)))
+    return Tree(tuple((Label(p), encode_integer(e)) for p, e in factor(m)))
 
 
-def eval_rational_tree(t):
-    """Reduced rational value; inverted root branches feed the denominator."""
+def eval_rational_tree(t, cap=None):
+    """Reduced rational value; inverted root branches feed the denominator.
+
+    Given a cap, a numerator or denominator above it raises SizeOverBudget,
+    and each root exponent is bounded before its power is taken, so no
+    value far above the cap is ever built.
+    """
     num = 1
     den = 1
     for label, sub in t.branches:
         if sub.has_inverted:
             raise MisplacedInverse("inverted label below depth 1")
-        e = label.prime ** eval_integer_tree(sub)
-        if label.inverted:
-            den *= e
+        p = label.prime
+        if cap is None:
+            e = eval_integer_tree(sub)
         else:
-            num *= e
+            # p >= 2**(bit_length - 1), so p**e <= cap needs
+            # e * (bit_length - 1) < cap.bit_length()
+            e = eval_bounded(sub, cap.bit_length() // (p.bit_length() - 1))
+            if e is OVER_BOUND:
+                raise _past_cap(cap)
+        if label.inverted:
+            den *= p ** e
+        else:
+            num *= p ** e
+        if cap is not None and max(num, den) > cap:
+            raise _past_cap(cap)
     # reduced by construction: a prime never heads both a plain and an
     # inverted root branch
     if gcd(num, den) != 1:
@@ -82,12 +96,22 @@ def encode_rational(num, den=1):
     den //= g
     branches = []
     if num > 1:
-        branches += [(Label(prime_index_of(p)), encode_integer(e))
-                     for p, e in factor(num)]
+        branches += [(Label(p), encode_integer(e)) for p, e in factor(num)]
     if den > 1:
-        branches += [(Label(prime_index_of(p), inverted=True), encode_integer(e))
+        branches += [(Label(p, inverted=True), encode_integer(e))
                      for p, e in factor(den)]
     return Tree(tuple(branches))
+
+
+def _past_cap(cap):
+    return SizeOverBudget(f"the value exceeds the cap {_approx(cap)}", cap=cap)
+
+
+def _approx(n):
+    """n in decimal, or its magnitude ~10^k when n has more than 30 digits
+    (huge counts overflow the int-to-str conversion limit)."""
+    digits = n.bit_length() * 30103 // 100000 + 1
+    return str(n) if digits <= 30 else f"~10^{digits - 1}"
 
 
 def ilog(n, base):

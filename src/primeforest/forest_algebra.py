@@ -84,14 +84,3 @@ def _attach_at_leaves(t, member):
     return Tree(tuple((label, _attach_at_leaves(sub, member))
                       for label, sub in t.branches))
 
-
-def union(f, g):
-    return f.union(g)
-
-
-def difference(f, g):
-    return f.difference(g)
-
-
-def contains(f, t):
-    return t in f

@@ -9,7 +9,7 @@ generation by integer value instead of height.
 
 import itertools
 
-from .codec import ilog
+from .codec import _approx, ilog
 from .errors import DomainError, SizeOverBudget
 from .forest_algebra import Forest, UNIT_FOREST, graft_forests, raise_forest
 from .primes import prime_by_index
@@ -30,16 +30,24 @@ def g_count(n, h, cap=None):
     """
     s = 1
     for _ in range(h):
-        base = 1 + s
-        # base >= 2**(bit_length - 1), so base**n >= 2**cap.bit_length() > cap
-        if cap is not None and (base.bit_length() - 1) * n >= cap.bit_length():
-            raise SizeOverBudget(
-                f"g_count({n}, {h}) exceeds the cap {_approx(cap)}", cap=cap)
-        s = base ** n
-    if cap is not None and s > cap:
+        s = _capped_power(1 + s, n, cap, f"g_count({n}, {h})")
+    return s
+
+
+def _capped_power(base, n, cap, what):
+    """base ** n, a count named `what`.  Given a cap, a power above it
+    raises SizeOverBudget; a power whose bit length alone passes the cap
+    is refused before it is built."""
+    if cap is None:
+        return base ** n
+    # base >= 2**(bit_length - 1), so base**n >= 2**cap.bit_length() > cap
+    if (base.bit_length() - 1) * n >= cap.bit_length():
+        raise SizeOverBudget(f"{what} exceeds the cap {_approx(cap)}",
+                             cap=cap)
+    s = base ** n
+    if s > cap:
         raise SizeOverBudget(
-            f"g_count({n}, {h}) = {_approx(s)} exceeds the cap {_approx(cap)}",
-            requested=s, cap=cap)
+            f"{what} exceeds the cap {_approx(cap)}", requested=s, cap=cap)
     return s
 
 
@@ -80,12 +88,12 @@ def all_valid_trees_bruteforce(n, h, cap=DEFAULT_CAP):
 def _subtrees(n, h):
     if h == 0:
         return [SINGLETON]
-    below = _subtrees(n, h - 1)
-    options = [None] + below
+    labels = [Label(prime_by_index(k)) for k in range(n)]
+    options = [None] + _subtrees(n, h - 1)
     out = []
     for combo in itertools.product(options, repeat=n):
-        branches = tuple((Label(k), sub)
-                         for k, sub in enumerate(combo) if sub is not None)
+        branches = tuple((label, sub)
+                         for label, sub in zip(labels, combo) if sub is not None)
         out.append(Tree(branches))
     return out
 
@@ -110,7 +118,7 @@ def bounded_value_trees(prime_indices, bound):
     whose factorization, recursively through exponents, stays inside the
     label set.
     """
-    primes = sorted((prime_by_index(k), k) for k in set(prime_indices))
+    labels = [Label(p) for p in sorted(map(prime_by_index, set(prime_indices)))]
     trees_memo = {}
     combo_memo = {}
 
@@ -129,22 +137,17 @@ def bounded_value_trees(prime_indices, bound):
         if key in combo_memo:
             return combo_memo[key]
         out = [(1, ())]
-        for j in range(i, len(primes)):
-            p, k = primes[j]
+        for j in range(i, len(labels)):
+            label = labels[j]
+            p = label.prime
             if p > budget:
                 break
             max_exp = ilog(budget, p)
             for e, etree in trees_upto(max_exp):
                 pe = p ** e
                 for v, branches in combos(j + 1, budget // pe):
-                    out.append((pe * v, ((Label(k), etree),) + branches))
+                    out.append((pe * v, ((label, etree),) + branches))
         combo_memo[key] = out
         return out
 
     return trees_upto(bound)
-
-
-def _approx(n):
-    # huge counts overflow int-to-str conversion limits; show a magnitude
-    digits = n.bit_length() * 30103 // 100000 + 1
-    return str(n) if digits <= 30 else f"~10^{digits - 1}"

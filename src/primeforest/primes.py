@@ -1,4 +1,9 @@
-"""The prime table behind labels, factorization and parsing.
+"""Primality, and the prime table behind factoring and "the first n primes".
+
+Tree labels carry their primes and are checked by is_prime alone, which
+never grows the table.  The table serves factor (its trial divisors) and
+the places that mean "the k-th prime": label_tree, the generator, the
+rational stages and the sieve's labels.
 
 One ascending table holds every prime up to ``_top``.  It grows on demand
 by a segmented Sieve of Eratosthenes over the missing range only: each

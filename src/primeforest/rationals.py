@@ -13,25 +13,24 @@ import itertools
 from fractions import Fraction
 
 from .codec import eval_rational_tree
-from .errors import SizeOverBudget
 from .forest_algebra import UNIT_FOREST, graft_forests, raise_forest
-from .generator import DEFAULT_CAP, _approx, g_count, g_forest
+from .generator import DEFAULT_CAP, _capped_power, g_count, g_forest
+from .primes import prime_by_index, prime_index_of
 from .tree_core import SINGLETON, Label, Tree, label_tree
 
 
-def h_count(i, m):
+def h_count(i, m, cap=None):
     """Predicted size of h_forest(i, m): each prime independently
-    contributes nothing, or one of 2 * g_count(m, i) raised trees."""
-    return (1 + 2 * g_count(m, i)) ** m
+    contributes nothing, or one of 2 * g_count(m, i) raised trees.  Given
+    a cap, a count above it raises SizeOverBudget before it is built."""
+    return _capped_power(1 + 2 * g_count(m, i, cap), m, cap,
+                         f"h_count({i}, {m})")
 
 
 def h_forest(i, m, cap=DEFAULT_CAP):
     """All rational trees over the first m primes whose root branches carry
     exponent trees of height <= i."""
-    expected = h_count(i, m)
-    if expected > cap:
-        raise SizeOverBudget(
-            f"h_forest({i}, {m}) holds {_approx(expected)} trees, cap is {cap}")
+    h_count(i, m, cap)
     exponents = g_forest(m, i, cap)
     acc = UNIT_FOREST
     for k in range(m):
@@ -47,7 +46,7 @@ def minimal_stage(t):
     if t.is_singleton:
         return 1
     return max(1,
-               t.max_prime_index() + 1,
+               prime_index_of(t.max_prime()) + 1,
                max(sub.height for _, sub in t.branches))
 
 
@@ -85,18 +84,17 @@ def _stage_block(s, tree_height, arity, cap):
     if arity == 0:
         return []
     exp_height = tree_height - 1
-    if g_count(s, exp_height) > cap:
-        raise SizeOverBudget(
-            f"stage {s} needs exponent forests of size "
-            f"{_approx(g_count(s, exp_height))}")
     exponents = list(g_forest(s, exp_height, cap))
+    # labels[k][inverted]: the k-th prime, plain or inverted
+    labels = [(Label(p), Label(p, True))
+              for p in map(prime_by_index, range(s))]
     out = []
     for indices in itertools.combinations(range(s), arity):
         for signs in itertools.product((False, True), repeat=arity):
             for exps in itertools.product(exponents, repeat=arity):
                 if max(e.height for e in exps) != exp_height:
                     continue
-                t = Tree(tuple((Label(k, inv), e)
+                t = Tree(tuple((labels[k][inv], e)
                                for k, inv, e in zip(indices, signs, exps)))
                 if minimal_stage(t) == s:
                     out.append(t)

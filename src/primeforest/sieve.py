@@ -11,7 +11,7 @@ from .codec import OVER_BOUND, eval_bounded
 from .errors import DomainError, NotPrime, SizeOverBudget
 from .forest_algebra import Forest, UNIT_FOREST, graft_forests, raise_forest
 from .generator import DEFAULT_CAP, bounded_value_trees
-from .primes import is_prime, prime_index_of, primes_upto
+from .primes import is_prime, primes_upto
 from .tree_core import label_tree
 
 
@@ -34,7 +34,7 @@ def composites_in_window(q):
     ascending by value."""
     if not is_prime(q):
         raise NotPrime(f"{q} is not prime")
-    labels = [prime_index_of(p) for p in primes_upto(q)]
+    labels = range(len(primes_upto(q)))
     pairs = [(v, t) for v, t in bounded_value_trees(labels, 2 * q) if v > q]
     pairs.sort()
     # distinct trees never share a value (bijection); keep the tripwire on

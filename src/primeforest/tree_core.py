@@ -3,37 +3,37 @@
 A tree is a tuple of (Label, subtree) branches hanging from an implicit,
 unlabeled root.  Construction canonicalizes branch order and rejects any
 labeling a valid tree cannot carry, so structural equality is semantic
-equality and no unchecked constructor exists.
+equality.  A Label carries its prime itself, so building, printing and
+evaluating a tree never consult the prime table; only label_tree, which
+means "the k-th prime", does.
 """
 
+import re
 from typing import NamedTuple
 
 from .errors import MisplacedInverse, ParseError, SiblingCollision
-from .primes import prime_by_index, prime_index_of
+from .primes import is_prime, prime_by_index
 
 
 class Label(NamedTuple):
-    """Vertex decoration: the prime_index-th prime, possibly inverted.
+    """Vertex decoration: a prime, possibly inverted.
 
-    Inverted labels (p^-1) are only legal on children of the root.
+    Inverted labels (p^-1) are only legal on children of the root.  The
+    record is unchecked; validate and parse_sexpr are the checked ways in.
     """
 
-    prime_index: int
+    prime: int
     inverted: bool = False
 
     @property
-    def prime(self):
-        return prime_by_index(self.prime_index)
-
-    @property
     def text(self):
-        p = prime_by_index(self.prime_index)
-        return f"1/{p}" if self.inverted else str(p)
+        return f"1/{self.prime}" if self.inverted else str(self.prime)
 
     @property
     def sort_rank(self):
-        # plain branches before inverted ones, then by prime index
-        return (self.inverted, self.prime_index)
+        # plain branches before inverted ones, then by prime (the same
+        # order as by prime index)
+        return (self.inverted, self.prime)
 
 
 class Tree:
@@ -43,19 +43,15 @@ class Tree:
 
     def __init__(self, branches=()):
         branches = tuple(sorted(branches, key=lambda b: b[0].sort_rank))
-        seen_ranks = set()
-        seen_indices = set()
+        seen = set()
         for label, sub in branches:
-            if label.sort_rank in seen_ranks:
+            if label.prime in seen:
+                # also refused: one prime heading both a plain and an
+                # inverted branch, which would evaluate to an unreduced
+                # rational
                 raise SiblingCollision(
-                    f"duplicate sibling label {label.text}")
-            if label.prime_index in seen_indices:
-                # same prime heading both a plain and an inverted branch
-                # would evaluate to an unreduced rational
-                raise SiblingCollision(
-                    f"label {label.prime} appears both plain and inverted")
-            seen_ranks.add(label.sort_rank)
-            seen_indices.add(label.prime_index)
+                    f"sibling labels repeat the prime {label.prime}")
+            seen.add(label.prime)
             if sub.has_inverted:
                 raise MisplacedInverse(
                     f"inverted label below vertex {label.text}")
@@ -82,14 +78,11 @@ class Tree:
             return 1
         return sum(sub.leaf_count() for _, sub in self.branches)
 
-    def depth1_labels(self):
-        return frozenset(label for label, _ in self.branches)
-
-    def max_prime_index(self):
-        """Largest prime index used anywhere, or -1 for the singleton."""
-        best = -1
+    def max_prime(self):
+        """Largest prime used anywhere, or 1 for the singleton."""
+        best = 1
         for label, sub in self.branches:
-            best = max(best, label.prime_index, sub.max_prime_index())
+            best = max(best, label.prime, sub.max_prime())
         return best
 
     # total order: height, then branch count, then branch sequences
@@ -133,26 +126,15 @@ def singleton():
 
 
 def label_tree(k, inverted=False):
-    """Two-vertex tree: the root plus one vertex labeled with the k-th prime."""
-    return Tree(((Label(k, inverted), SINGLETON),))
+    """Two-vertex tree: the root plus one vertex labeled with the k-th
+    prime, counting from label_tree(0), labeled 2."""
+    return Tree(((Label(prime_by_index(k), inverted), SINGLETON),))
 
 
 def graft(a, b):
-    """Merge two trees at the root; their branch sets must be disjoint."""
-    common = a.depth1_labels() & b.depth1_labels()
-    if common:
-        label = min(common)
-        raise SiblingCollision(
-            f"grafting would duplicate sibling label {label.text}")
+    """Merge two trees at the root; their branch sets must be disjoint
+    (SiblingCollision otherwise)."""
     return Tree(a.branches + b.branches)
-
-
-def height(t):
-    return t.height
-
-
-def leaf_count(t):
-    return t.leaf_count()
 
 
 def compare(a, b):
@@ -169,7 +151,8 @@ def validate(raw):
     """Build a canonical Tree from nested raw data.
 
     Raw form: an iterable of branches, each branch a (label, sub_branches)
-    pair where label is a prime value (int) or the string "1/<prime>".
+    pair where label is a prime (an int) or its text form, "<prime>" or
+    "1/<prime>".
     """
     return _build(raw)
 
@@ -196,13 +179,13 @@ def _parse_label(spec):
             value = int(text)
         except ValueError:
             raise ParseError(f"bad label {spec!r}")
+    elif isinstance(spec, int) and not isinstance(spec, bool):
+        value = int(spec)
     else:
-        value = spec
-    try:
-        k = prime_index_of(value)
-    except ValueError:
+        raise ParseError(f"bad label {spec!r}")
+    if not is_prime(value):
         raise ParseError(f"label {spec!r} is not a prime")
-    return Label(k, inverted)
+    return Label(value, inverted)
 
 
 # --- canonical S-expression text form ------------------------------------
@@ -223,7 +206,7 @@ def _branch_text(branch):
 
 def parse_sexpr(text):
     """Parse the canonical S-expression form back into a Tree."""
-    tokens = _tokenize(text)
+    tokens = re.findall(r"[()]|[^\s()]+", text)
     pos = 0
 
     def expect(tok):
@@ -241,35 +224,18 @@ def parse_sexpr(text):
                 raise ParseError("unterminated branch")
             label = _parse_label(tokens[pos])
             pos += 1
-            sub = Tree(parse_branches())
+            children = parse_branches()
             expect(")")
-            branches.append((label, sub))
+            branches.append((label, Tree(children) if children else SINGLETON))
         return branches
 
     expect("(")
     expect("r")
-    branches = parse_branches()
+    try:
+        branches = parse_branches()
+    except RecursionError:
+        raise ParseError("tree nested too deeply to parse") from None
     expect(")")
     if pos != len(tokens):
         raise ParseError(f"trailing tokens in {text!r}")
     return Tree(branches)
-
-
-def _tokenize(text):
-    tokens = []
-    atom = []
-    for ch in text:
-        if ch in "()":
-            if atom:
-                tokens.append("".join(atom))
-                atom = []
-            tokens.append(ch)
-        elif ch.isspace():
-            if atom:
-                tokens.append("".join(atom))
-                atom = []
-        else:
-            atom.append(ch)
-    if atom:
-        tokens.append("".join(atom))
-    return tokens

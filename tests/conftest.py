@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from primeforest.primes import prime_by_index
 from primeforest.tree_core import SINGLETON, Label, Tree
 
 
@@ -13,7 +14,8 @@ def random_tree(rng, labels, max_height, stop=0.35):
     if arity == 0:
         return SINGLETON
     picked = rng.sample(list(labels), arity)
-    return Tree(tuple((Label(k), random_tree(rng, labels, max_height - 1, stop))
+    return Tree(tuple((Label(prime_by_index(k)),
+                       random_tree(rng, labels, max_height - 1, stop))
                       for k in picked))
 
 

@@ -16,6 +16,7 @@ from primeforest.codec import (
 )
 from primeforest.forest_algebra import Forest, raise_forest
 from primeforest.generator import all_valid_trees_bruteforce, g_count, g_forest
+from primeforest.primes import prime_by_index
 from primeforest.rationals import (
     calkin_wilf_stream,
     h_count,
@@ -146,8 +147,8 @@ def test_criterion_7_stream_totality():
     # reduced form is structural: no prime heads both a plain and an
     # inverted root branch, and inverses never sit deeper
     for t in trees:
-        plain = {l.prime_index for l, _ in t.branches if not l.inverted}
-        inv = {l.prime_index for l, _ in t.branches if l.inverted}
+        plain = {l.prime for l, _ in t.branches if not l.inverted}
+        inv = {l.prime for l, _ in t.branches if l.inverted}
         assert not plain & inv
     # exact values, where the exponent towers stay materializable
     feasible = [t for t in trees
@@ -167,7 +168,7 @@ def test_criterion_7_stream_totality():
         stage = minimal_stage(t)
         assert stage <= bound
         # structural membership in h_forest(stage, stage)
-        assert t.max_prime_index() < stage
+        assert t.max_prime() < prime_by_index(stage)
         assert all(sub.height <= stage for _, sub in t.branches)
         if stage <= 2:
             assert t in early
@@ -201,9 +202,9 @@ def test_criterion_9_bounded_evaluation():
     # the over-bound check runs on the next tower up, 2^65536
     tower4 = SINGLETON
     for _ in range(4):
-        tower4 = Tree(((Label(0), tower4),))
+        tower4 = Tree(((Label(2), tower4),))
     assert eval_bounded(tower4, 10 ** 6) == 65536
-    tower5 = Tree(((Label(0), tower4),))
+    tower5 = Tree(((Label(2), tower4),))
     start = time.time()
     assert eval_bounded(tower5, 10 ** 6) is OVER_BOUND
     elapsed = time.time() - start

@@ -159,13 +159,46 @@ def test_selftest():
 
 
 def test_labels_past_the_prime_table_cap():
+    # labels are checked by Miller-Rabin, not looked up in the prime table
+    code, out, _ = run_cli("encode", "1000000000039", timeout=2)
+    assert (code, out) == (0, "(r (1000000000039))\n")
+    code, out, _ = run_cli("decode", "(r (1000000000039 (2)) (1/3))",
+                           timeout=2)
+    assert (code, out) == (0, f"{(10 ** 12 + 39) ** 2}/3\n")
+    # past the Miller-Rabin bound primality is refused, not guessed
     prime_30_digits = "100000000000000000000000000319"
-    for argv, value in ((["encode", "1000000000039"], "1000000000039"),
-                        (["decode", f"(r ({prime_30_digits}))"],
-                         prime_30_digits)):
+    for argv in (["encode", prime_30_digits],
+                 ["decode", f"(r ({prime_30_digits}))"]):
         code, out, err = run_cli(*argv, timeout=2)
         assert (code, out) == (1, "")
-        assert value in err and "100000000" in err and "cap" in err
+        assert prime_30_digits in err and "Miller-Rabin" in err
+        assert "Traceback" not in err
+
+
+def test_decode_refuses_values_too_long_to_print():
+    # 2^(2^65536): the root exponent is bounded before the power is taken
+    code, out, err = run_cli("decode", "(r (2 (2 (2 (2 (2 (2)))))))",
+                             timeout=2)
+    assert (code, out) == (1, "")
+    assert "cap" in err and "Traceback" not in err
+    # 2^65536 has 19,729 digits, past the default limit of 4,300
+    code, out, err = invoke("decode", "(r (1/3) (2 (2 (2 (2 (2))))))")
+    assert (code, out) == (1, "")
+    assert "cap" in err
+    assert invoke("decode", "(r (2 (2 (2 (2)))))")[:2] == (0, "65536\n")
+
+
+def test_decode_refuses_deep_nesting():
+    deep = "(r " + "(2 " * 3000 + ")" * 3001
+    code, out, err = run_cli("decode", deep, timeout=2)
+    assert (code, out) == (1, "")
+    assert "nested too deeply" in err and "Traceback" not in err
+
+
+def test_rationals_max_stage_only_lowers_the_budget():
+    code, out, err = run_cli("rationals", "--count", "1", "--max-stage", "10",
+                             timeout=2)
+    assert (code, out) == (0, "1\t(r)\n"), err
 
 
 def test_count_refuses_counts_too_long_to_print():

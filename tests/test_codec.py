@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -12,10 +13,12 @@ from primeforest.codec import (
     eval_rational_tree,
     factor,
 )
-from primeforest.errors import InverseLabelPresent, ZeroInput
+from primeforest.errors import InverseLabelPresent, SizeOverBudget, ZeroInput
 from primeforest.generator import g_forest
+from primeforest.primes import is_prime
 from primeforest.tree_core import (
     SINGLETON,
+    Label,
     graft,
     label_tree,
     parse_sexpr,
@@ -111,12 +114,43 @@ def test_eval_bounded_overbound():
 
 
 def test_eval_bounded_short_circuits_towers():
-    from primeforest.tree_core import Label, Tree
+    from primeforest.tree_core import Tree
 
     tower = SINGLETON
     for _ in range(50):  # 2^2^...^2, fifty levels
-        tower = Tree(((Label(0), tower),))
+        tower = Tree(((Label(2), tower),))
     assert eval_bounded(tower, 10 ** 9) is OVER_BOUND
+
+
+def test_roundtrip_past_the_prime_table():
+    # seeded primes in (10^8, 10^15), alone and times small primes; the
+    # labels are checked by Miller-Rabin, with no prime table lookup
+    rng = random.Random(15)
+    big = []
+    while len(big) < 40:
+        n = rng.randrange(10 ** 8, 10 ** 15)
+        if is_prime(n):
+            big.append(n)
+    for p in big:
+        small = rng.choice([2, 3, 5, 12, 49, 2 ** 10])
+        for num, den in ((p, 1), (p * small, 1), (p, small), (small, p)):
+            tree = encode_rational(num, den)
+            assert Label(p) in {label._replace(inverted=False)
+                                for label, _ in tree.branches}
+            back = eval_rational_tree(parse_sexpr(to_sexpr(tree)))
+            assert back == Fraction(num, den)
+
+
+def test_eval_rational_tree_cap():
+    t = parse_sexpr("(r (2 (3)) (1/3 (2)))")
+    assert eval_rational_tree(t, cap=9) == Fraction(8, 9)
+    for cap in (8, 1):
+        with pytest.raises(SizeOverBudget) as info:
+            eval_rational_tree(t, cap=cap)
+        assert info.value.cap == cap
+    tower = parse_sexpr("(r (2 (2 (2 (2 (2 (2)))))))")
+    with pytest.raises(SizeOverBudget):
+        eval_rational_tree(tower, cap=10 ** 4300)
 
 
 def test_factor():

@@ -3,11 +3,8 @@ import pytest
 from primeforest.errors import SiblingCollision
 from primeforest.forest_algebra import (
     Forest,
-    contains,
-    difference,
     graft_forests,
     raise_forest,
-    union,
 )
 from primeforest.tree_core import SINGLETON, label_tree, to_sexpr, validate
 
@@ -86,8 +83,8 @@ def test_raise_not_commutative():
 def test_set_operations():
     f = Forest([SINGLETON, label_tree(0)])
     g = Forest([SINGLETON])
-    assert difference(f, f) == Forest()
-    assert union(g, Forest([label_tree(0)])) == f
-    assert difference(f, g) == Forest([label_tree(0)])
-    assert contains(f, label_tree(0))
-    assert not contains(g, label_tree(0))
+    assert f.difference(f) == Forest()
+    assert g.union(Forest([label_tree(0)])) == f
+    assert f.difference(g) == Forest([label_tree(0)])
+    assert label_tree(0) in f
+    assert label_tree(0) not in g

@@ -77,6 +77,16 @@ def test_is_prime_above_the_table_matches_eratosthenes():
              "assert primes._top == 13\n")
 
 
+def test_labels_leave_the_table_cold():
+    run_cold("import io\n"
+             "from primeforest import cli\n"
+             "out = io.StringIO()\n"
+             "assert cli.run(['encode', '1000000000039'], out=out) == 0\n"
+             "assert cli.run(['decode', '(r (99999989))'], out=out) == 0\n"
+             "assert out.getvalue() == '(r (1000000000039))\\n99999989\\n'\n"
+             "assert list(primes.table_primes()) == [2, 3, 5, 7, 11, 13]\n")
+
+
 def test_is_prime_against_the_table():
     primes_upto(10 ** 6)
     ref = set(ORACLE)

@@ -1,6 +1,9 @@
 import itertools
+import time
 from fractions import Fraction
 from math import gcd
+
+import pytest
 
 from primeforest.codec import (
     encode_rational,
@@ -16,6 +19,8 @@ from primeforest.rationals import (
     rational_tree_stream,
     stage_trees,
 )
+from primeforest.errors import SizeOverBudget
+from primeforest.primes import prime_by_index
 from primeforest.tree_core import SINGLETON
 
 
@@ -25,6 +30,17 @@ def test_h_count_values():
     assert h_count(0, 2) == 9
     assert h_count(0, 3) == 27
     assert h_count(1, 2) == 81
+
+
+def test_counts_refuse_past_the_cap():
+    start = time.perf_counter()
+    with pytest.raises(SizeOverBudget):
+        h_forest(10, 10)
+    assert time.perf_counter() - start < 1
+    with pytest.raises(SizeOverBudget) as info:
+        h_count(1, 2, cap=80)
+    assert (info.value.requested, info.value.cap) == (81, 80)
+    assert h_count(1, 2, cap=81) == 81
 
 
 def test_h_forest_one_prime_height_one():
@@ -67,7 +83,7 @@ def test_integer_slice_consistency():
 
 def _member_predicate(t, i, m):
     # structural membership in h_forest(i, m)
-    return (t.max_prime_index() < m
+    return (t.max_prime() < prime_by_index(m)
             and all(sub.height <= i for _, sub in t.branches))
 
 

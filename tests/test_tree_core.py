@@ -7,9 +7,7 @@ from primeforest.tree_core import (
     Tree,
     compare,
     graft,
-    height,
     label_tree,
-    leaf_count,
     parse_sexpr,
     singleton,
     to_sexpr,
@@ -25,7 +23,7 @@ FIG2_RAW = [(5, []), (2, [(3, []), (7, [(2, [])])])]
 def test_singleton_is_branchless_identity():
     t = singleton()
     assert t.branches == ()
-    assert height(t) == 0
+    assert t.height == 0
     assert graft(t, t) == t
 
 
@@ -33,8 +31,8 @@ def test_label_tree_basic():
     t0 = label_tree(0)
     assert to_sexpr(t0) == "(r (2))"
     assert to_sexpr(label_tree(0, inverted=True)) == "(r (1/2))"
-    assert height(t0) == 1
-    assert leaf_count(t0) == 1
+    assert t0.height == 1
+    assert t0.leaf_count() == 1
 
 
 def test_graft_merges_branch_sets():
@@ -59,8 +57,8 @@ def test_graft_collision():
 
 def test_validate_fig2_ok():
     t = validate(FIG2_RAW)
-    assert height(t) == 3
-    assert leaf_count(t) == 3
+    assert t.height == 3
+    assert t.leaf_count() == 3
 
 
 def test_validate_rejects_equal_siblings():
@@ -68,6 +66,15 @@ def test_validate_rejects_equal_siblings():
     raw = [(2, []), (3, [(5, []), (5, [(7, [])])])]
     with pytest.raises(SiblingCollision):
         validate(raw)
+
+
+def test_validate_rejects_non_prime_labels():
+    for label in (4, 1, 0, -3, 2.0, True, None, "2.0", "1/4"):
+        with pytest.raises(ParseError):
+            validate([(label, [])])
+    # labels are checked by Miller-Rabin, with no prime table lookup
+    assert to_sexpr(validate([(10 ** 12 + 39, [(2, [])])])) \
+        == "(r (1000000000039 (2)))"
 
 
 def test_validate_rejects_deep_inverse():
@@ -120,9 +127,21 @@ def test_sexpr_roundtrip_random(rng):
 
 
 def test_parse_rejects_garbage():
-    for bad in ["", "(r", "(r))", "(x (2))", "(r (4))", "(r (2)) junk"]:
+    for bad in ["", "(r", "(r))", "(x (2))", "(r (4))", "(r (2)) junk",
+                "(r (2.0))", "(r (1/1))"]:
         with pytest.raises(ParseError):
             parse_sexpr(bad)
+
+
+def test_parse_tokens_split_on_any_whitespace():
+    assert parse_sexpr("\t(r\n(2\u3000(3))\x1c(5) )") == validate(
+        [(2, [(3, [])]), (5, [])])
+
+
+def test_leaves_share_the_singleton():
+    t = parse_sexpr("(r (2 (3)) (5))")
+    leaves = [t.branches[0][1].branches[0][1], t.branches[1][1]]
+    assert all(leaf is SINGLETON for leaf in leaves)
 
 
 def test_trees_are_immutable():
@@ -132,7 +151,7 @@ def test_trees_are_immutable():
 
 
 def test_canonical_order_of_branches():
-    a = Tree([(Label(1), SINGLETON), (Label(0), SINGLETON)])
-    b = Tree([(Label(0), SINGLETON), (Label(1), SINGLETON)])
+    a = Tree([(Label(3), SINGLETON), (Label(2), SINGLETON)])
+    b = Tree([(Label(2), SINGLETON), (Label(3), SINGLETON)])
     assert a == b
     assert to_sexpr(a) == "(r (2) (3))"
