@@ -153,7 +153,6 @@ def _cmd_rationals(args, out):
         tree = codec.encode_rational(num, den)
         print(rationals.minimal_stage(tree), file=out)
         return 0
-    emitted = 0
     budget = args.count
     if args.max_stage is not None:
         # entries through stage S are exactly the members of h_forest(S, S);
@@ -162,11 +161,10 @@ def _cmd_rationals(args, out):
             budget = rationals.h_count(args.max_stage, args.max_stage, budget)
         except SizeOverBudget:
             pass
-    for value, tree in rationals.rational_stream():
-        if emitted >= budget:
-            break
+    cap = _print_cap()
+    for tree in itertools.islice(rationals.rational_tree_stream(), budget):
+        value = codec.eval_rational_tree(tree, cap)
         print(f"{_format_value(value)}\t{to_sexpr(tree)}", file=out)
-        emitted += 1
     return 0
 
 

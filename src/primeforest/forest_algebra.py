@@ -1,4 +1,5 @@
-"""Duplicate-free forests and the two forest operators: grafting and raising."""
+"""Duplicate-free forests, the two forest operators (grafting and raising)
+and the canonical-order enumerator of trees of one height."""
 
 from .errors import SiblingCollision
 from .tree_core import SINGLETON, Tree, graft, to_sexpr
@@ -10,7 +11,8 @@ class Forest:
     __slots__ = ("trees", "_set")
 
     def __init__(self, trees=()):
-        uniq = set(trees)
+        # dict keeps input order, so canonical input sorts in one pass
+        uniq = dict.fromkeys(trees)
         object.__setattr__(self, "trees", tuple(sorted(uniq)))
         object.__setattr__(self, "_set", frozenset(uniq))
 
@@ -84,3 +86,29 @@ def _attach_at_leaves(t, member):
     return Tree(tuple((label, _attach_at_leaves(sub, member))
                       for label, sub in t.branches))
 
+
+def ordered_trees(labels, subs, height):
+    """Yield, in canonical order, every tree of exactly `height` >= 1 whose
+    branches pair distinct-prime `labels` (ascending sort_rank) with
+    subtrees from `subs` (canonical order, each below `height`).  The order
+    is height, arity, then branch by branch the label and the subtree, so
+    picking each position's label and then its subtree lists them sorted.
+    """
+    tall = [sub.height == height - 1 for sub in subs]
+    # each (label, sub) pair is built once and shared by every tree using it
+    pairs = [[(label, sub) for sub in subs] for label in labels]
+
+    def fill(arity, rest, prefix, has_tall):
+        # rest: indices of the labels whose primes are still free, ascending
+        for n, i in enumerate(rest[:len(rest) - arity + 1]):
+            later = [j for j in rest[n + 1:]
+                     if labels[j].prime != labels[i].prime]
+            for pair, is_tall in zip(pairs[i], tall):
+                if arity > 1:
+                    yield from fill(arity - 1, later, prefix + (pair,),
+                                    has_tall or is_tall)
+                elif has_tall or is_tall:
+                    yield Tree(prefix + (pair,))
+
+    for arity in range(1, len({label.prime for label in labels}) + 1):
+        yield from fill(arity, range(len(labels)), (), False)

@@ -1,23 +1,22 @@
 """Bounded-height forest generation and its counting recurrence.
 
-g_forest(n, h) builds, by grafting and raising, the forest of all validly
-labeled trees over n labels with height at most h.  g_count predicts its
-size exactly, all_valid_trees_bruteforce re-derives the same set from
-subtrees of the complete n-ary tree, and g_stream_value_bounded prunes
-generation by integer value instead of height.
+g_forest(n, h) lists, height by height in canonical order, the forest of
+all validly labeled trees over n labels with height at most h, which the
+paper builds by grafting and raising.  g_count predicts its size exactly,
+all_valid_trees_bruteforce re-derives the same set from subtrees of the
+complete n-ary tree, and g_stream_value_bounded prunes generation by
+integer value instead of height.
 """
 
 import itertools
 
 from .codec import _approx, ilog
-from .errors import DomainError, SizeOverBudget
-from .forest_algebra import Forest, UNIT_FOREST, graft_forests, raise_forest
+from .errors import SizeOverBudget
+from .forest_algebra import Forest, ordered_trees
 from .primes import prime_by_index
-from .tree_core import SINGLETON, Label, Tree, label_tree
+from .tree_core import SINGLETON, Label, Tree
 
 DEFAULT_CAP = 10 ** 7
-
-_g_cache = {}
 
 
 def g_count(n, h, cap=None):
@@ -54,24 +53,11 @@ def _capped_power(base, n, cap, what):
 def g_forest(n, h, cap=DEFAULT_CAP):
     """The forest of all validly labeled trees over n labels, height <= h."""
     g_count(n, h, cap)
-    key = (n, h)
-    if key in _g_cache:
-        return _g_cache[key]
-    forest = UNIT_FOREST
-    for i in range(1, h + 1):
-        nxt = UNIT_FOREST
-        for k in range(n):
-            factor = UNIT_FOREST.union(raise_forest(label_tree(k), forest))
-            grown = graft_forests(nxt, factor)
-            # every pairwise graft must be distinct here
-            if len(grown) != len(nxt) * len(factor):
-                raise DomainError(
-                    f"g_forest({n}, {i}): pairwise grafts collided")
-            nxt = grown
-        forest = nxt
-        _g_cache[(n, i)] = forest
-    _g_cache[key] = forest
-    return forest
+    labels = [Label(p) for p in map(prime_by_index, range(n))]
+    trees = [SINGLETON]
+    for height in range(1, h + 1):
+        trees += ordered_trees(labels, tuple(trees), height)
+    return Forest(trees)
 
 
 def all_valid_trees_bruteforce(n, h, cap=DEFAULT_CAP):

@@ -22,8 +22,10 @@ before it publishes the new ``_top``.
 
 Above the table's top, is_prime runs Miller-Rabin with the first 13 prime
 bases, which is exact below MR_BOUND ~ 3.3 * 10^24 (Sorenson and Webster
-2015).  Above that bound a number that no base proves composite raises
-SizeOverBudget instead of being guessed prime.
+2015).  Smaller n need fewer bases: below the least strong pseudoprime to
+the first k prime bases, those k bases suffice (Jaeschke 1993).  Above
+MR_BOUND a number that no base proves composite raises SizeOverBudget
+instead of being guessed prime.
 """
 
 import threading
@@ -38,6 +40,13 @@ TABLE_CAP = 10 ** 8
 # Least strong pseudoprime to all of _MR_BASES (Sorenson and Webster 2015).
 MR_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# (psi_k, k): the first k bases decide every n < psi_k, the least strong
+# pseudoprime to all of them (Jaeschke 1993; Sorenson and Webster 2015)
+_MR_PLAN = ((2_047, 1), (1_373_653, 2), (25_326_001, 3),
+            (3_215_031_751, 4), (2_152_302_898_747, 5),
+            (3_474_749_660_383, 6), (341_550_071_728_321, 7),
+            (3_825_123_056_546_413_051, 9),
+            (318_665_857_834_031_151_167_461, 12), (MR_BOUND, 13))
 _SEGMENT_BYTES = 1 << 20
 
 _primes = array("i", [2, 3, 5, 7, 11, 13])
@@ -83,7 +92,8 @@ def _proven_composite(n):
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_BASES:
+    k = next((k for bound, k in _MR_PLAN if n < bound), len(_MR_BASES))
+    for a in _MR_BASES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -4,19 +4,25 @@ h_forest(i, m) grafts, for each of the first m primes, one of: an
 inverted-prime tree raised by an exponent forest, nothing, or the plain
 prime raised likewise.  Its members evaluate to distinct reduced
 rationals.  rational_stream() walks the nested stages h_forest(s, s),
-s = 1, 2, ..., emitting each stage's new trees in canonical order; every
-positive rational has finite prime support and tower height, so it
-appears at some finite stage.
+s = 1, 2, ..., generating each stage's new trees in canonical order, never
+the whole stage; every positive rational has finite prime support and
+tower height, so it appears at some finite stage.
 """
 
 import itertools
 from fractions import Fraction
 
 from .codec import eval_rational_tree
-from .forest_algebra import UNIT_FOREST, graft_forests, raise_forest
+from .forest_algebra import (
+    UNIT_FOREST, graft_forests, ordered_trees, raise_forest)
 from .generator import DEFAULT_CAP, _capped_power, g_count, g_forest
 from .primes import prime_by_index, prime_index_of
-from .tree_core import SINGLETON, Label, Tree, label_tree
+from .tree_core import SINGLETON, Label, label_tree
+
+# stage_trees takes the enumerator's trees this many at a time: resuming
+# its recursive generators costs more per tree than reading a list, and
+# stage 3's height-3 block (about 3 * 10^9 trees) can never be a list.
+_BATCH = 4096
 
 
 def h_count(i, m, cap=None):
@@ -45,9 +51,7 @@ def minimal_stage(t):
     """Smallest s with t a member of h_forest(s, s)."""
     if t.is_singleton:
         return 1
-    return max(1,
-               prime_index_of(t.max_prime()) + 1,
-               max(sub.height for _, sub in t.branches))
+    return max(t.height - 1, prime_index_of(t.max_prime()) + 1)
 
 
 def rational_tree_stream(cap=DEFAULT_CAP):
@@ -72,33 +76,15 @@ def rational_stream(cap=DEFAULT_CAP):
 
 def stage_trees(s, cap=DEFAULT_CAP):
     """Canonical-order members of h_forest(s, s) absent from the previous
-    stage, generated lazily in (height, arity) blocks."""
-    for tree_height in range(0, s + 2):
-        for arity in range(0, s + 1):
-            yield from sorted(_stage_block(s, tree_height, arity, cap))
-
-
-def _stage_block(s, tree_height, arity, cap):
-    if tree_height == 0:
-        return [SINGLETON] if (arity == 0 and s == 1) else []
-    if arity == 0:
-        return []
-    exp_height = tree_height - 1
-    exponents = list(g_forest(s, exp_height, cap))
-    # labels[k][inverted]: the k-th prime, plain or inverted
-    labels = [(Label(p), Label(p, True))
+    stage, generated lazily height by height."""
+    if s == 1:
+        yield SINGLETON
+    labels = [Label(p, inverted) for inverted in (False, True)
               for p in map(prime_by_index, range(s))]
-    out = []
-    for indices in itertools.combinations(range(s), arity):
-        for signs in itertools.product((False, True), repeat=arity):
-            for exps in itertools.product(exponents, repeat=arity):
-                if max(e.height for e in exps) != exp_height:
-                    continue
-                t = Tree(tuple((labels[k][inv], e)
-                               for k, inv, e in zip(indices, signs, exps)))
-                if minimal_stage(t) == s:
-                    out.append(t)
-    return out
+    for height in range(1, s + 2):
+        trees = ordered_trees(labels, g_forest(s, height - 1, cap), height)
+        while batch := list(itertools.islice(trees, _BATCH)):
+            yield from [t for t in batch if minimal_stage(t) == s]
 
 
 def calkin_wilf_stream():

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import subprocess
 import sys
@@ -121,6 +122,14 @@ def test_rationals_count():
     ]
 
 
+def test_rationals_count_stops_at_the_print_cap():
+    # items 1-101 print; item 102's value is refused before it is built
+    code, out, err = run_cli("rationals", "--count", "102", timeout=10)
+    assert code == 1
+    assert len(out.splitlines()) == 101
+    assert "cap" in err and "string conversion" not in err
+
+
 def test_rationals_max_stage():
     code, out, _ = invoke("rationals", "--count", "100", "--max-stage", "1")
     assert code == 0
@@ -144,6 +153,13 @@ def test_domain_error_decode():
     code, _, err = invoke("decode", "(r (4))")
     assert code == 1
     assert err
+
+
+def test_forest_golden_hash():
+    code, out, _ = invoke("forest", "--labels", "4", "--height", "2")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "554bfc6de743115430b408e59284a61b66d207e345ac8170127928e7e4234ec2")
 
 
 def test_deterministic_output():

@@ -2,6 +2,7 @@ import pytest
 
 from primeforest.codec import eval_integer_tree
 from primeforest.errors import SizeOverBudget
+from primeforest.forest_algebra import Forest, graft_forests, raise_forest
 from primeforest.generator import (
     all_valid_trees_bruteforce,
     g_count,
@@ -47,6 +48,25 @@ def test_g_forest_matches_bruteforce():
     for n, h in [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2),
                  (3, 1), (3, 2)]:
         assert g_forest(n, h) == all_valid_trees_bruteforce(n, h)
+
+
+def _graft_raise_recurrence(n, h):
+    # the paper's construction: G(n, i) grafts, for each label k, the unit
+    # forest or label k raised by G(n, i - 1)
+    unit = Forest([SINGLETON])
+    forest = unit
+    for _ in range(h):
+        grown = unit
+        for k in range(n):
+            grown = graft_forests(
+                grown, unit.union(raise_forest(label_tree(k), forest)))
+        forest = grown
+    return forest
+
+
+def test_g_forest_matches_graft_raise_recurrence():
+    for n, h in [(1, 3), (2, 2), (3, 2), (4, 1)]:
+        assert g_forest(n, h).trees == _graft_raise_recurrence(n, h).trees
 
 
 def test_bruteforce_single_label():

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from primeforest.codec import factor
 from primeforest.errors import SizeOverBudget
 from primeforest.primes import (
+    _MR_PLAN,
     MR_BOUND,
     TABLE_CAP,
+    _proven_composite,
     is_prime,
     prime_by_index,
     prime_index_of,
@@ -109,8 +111,12 @@ def test_rejects_non_primes():
 
 
 def test_strong_pseudoprimes_are_composite():
-    # least strong pseudoprime to the first 12 prime bases: base 41 catches it
-    assert not is_prime(318_665_857_834_031_151_167_461)
+    # psi_k, the least strong pseudoprime to the first k prime bases,
+    # passes those k bases, so it must get more than k; _proven_composite
+    # is the Miller-Rabin path whatever the table holds
+    for psi, _ in _MR_PLAN[:-1]:
+        assert _proven_composite(psi), psi
+        assert not is_prime(psi), psi
     # MR_BOUND passes all 13 bases, so primality is refused, not guessed
     with pytest.raises(SizeOverBudget) as info:
         is_prime(MR_BOUND)
@@ -139,6 +145,22 @@ def test_is_prime_against_sympy():
     for _ in range(50):
         p = sympy.nextprime(rng.getrandbits(79) | 1 << 79)
         assert is_prime(p), p
+
+
+def test_is_prime_against_sympy_around_the_base_bounds():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(47)
+    for psi, _ in _MR_PLAN:
+        around = [sympy.prevprime(psi), sympy.nextprime(psi)]
+        around += [psi + rng.randint(-10 ** 4, 10 ** 4) for _ in range(300)]
+        for n in around:
+            expected = sympy.isprime(n)
+            assert _proven_composite(n) == (not expected), n
+            if n >= MR_BOUND and expected:
+                with pytest.raises(SizeOverBudget):
+                    is_prime(n)
+            else:
+                assert is_prime(n) == expected, n
 
 
 def test_factor_against_sympy():

@@ -1,7 +1,11 @@
+import hashlib
 import itertools
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +25,9 @@ from primeforest.rationals import (
 )
 from primeforest.errors import SizeOverBudget
 from primeforest.primes import prime_by_index
-from primeforest.tree_core import SINGLETON
+from primeforest.tree_core import SINGLETON, to_sexpr
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_h_count_values():
@@ -103,6 +109,36 @@ def test_stage_trees_match_forest_differences():
     assert set(s2) == set(h22.difference(h11))
     assert s1 == sorted(s1)
     assert s2 == sorted(s2)
+
+
+def test_stage_three_below_height_three():
+    # stage 3's trees of height <= 2 are h_forest(1, 3) less earlier stages
+    low = list(itertools.takewhile(lambda t: t.height <= 2, stage_trees(3)))
+    expected = sorted(t for t in h_forest(1, 3) if minimal_stage(t) == 3)
+    assert len(expected) == 4_832
+    assert low == expected
+
+
+def test_stream_golden_hash():
+    text = "".join(to_sexpr(t) + "\n"
+                   for t in itertools.islice(rational_tree_stream(), 11_000))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f923d7c34fb7512c5d22ec7c2acba7929f194bfa4239c9e6cedbced51af8e4e9")
+
+
+def test_stream_hundred_thousand_items():
+    # in a subprocess, so that a stalled stream fails on the timeout
+    code = ("import itertools\n"
+            "from primeforest.rationals import minimal_stage, "
+            "rational_tree_stream\n"
+            "trees = list(itertools.islice(rational_tree_stream(), 100_000))\n"
+            "assert len(set(trees)) == 100_000\n"
+            "stages = [minimal_stage(t) for t in trees]\n"
+            "assert all(a <= b for a, b in zip(stages, stages[1:]))\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={"PYTHONPATH": str(SRC)}, capture_output=True,
+                          text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_stream_first_entries():
