@@ -38,7 +38,8 @@ def _build_parser():
     p.add_argument("q", type=int)
     p.add_argument("--show-composites", action="store_true")
     p.add_argument("--fidelity", action="store_true",
-                   help="use the forest-fixpoint form (small q only)")
+                   help="use the forest-fixpoint form "
+                        f"(q <= {sieve.FIDELITY_CAP} only)")
 
     p = sub.add_parser("rationals", help="duplicate-free enumeration of Q+")
     group = p.add_mutually_exclusive_group(required=True)
@@ -135,13 +136,14 @@ def _cmd_count(args, out):
 
 
 def _cmd_sieve(args, out):
-    if args.show_composites:
-        for value, tree in sieve.composites_in_window(args.q):
-            print(f"{value}\t{to_sexpr(tree)}", file=out)
+    # the primes first, so that a refused q prints nothing
     if args.fidelity:
         primes = sieve.literal_fixpoint_sieve(args.q)
     else:
         primes = sieve.combinatorial_sieve(args.q)
+    if args.show_composites:
+        for value, tree in sieve.composites_in_window(args.q):
+            print(f"{value}\t{to_sexpr(tree)}", file=out)
     for p in primes:
         print(p, file=out)
     return 0

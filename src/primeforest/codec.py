@@ -15,21 +15,13 @@ from .primes import (TABLE_CAP, is_prime, prime_by_index, prime_index_of,
 from .tree_core import SINGLETON, Label, Tree
 
 
-class OverBound:
-    """Marker: a bounded evaluation exceeded its bound."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
+class _OverBound:
     def __repr__(self):
-        return "OverBound"
+        return "OVER_BOUND"
 
 
-OVER_BOUND = OverBound()
+# Marker: a bounded evaluation exceeded its bound.  Test it with `is`.
+OVER_BOUND = _OverBound()
 
 
 def eval_integer_tree(t):

@@ -45,7 +45,6 @@ class Forest:
         return Forest(t for t in self.trees if t not in drop)
 
 
-EMPTY_FOREST = Forest()
 UNIT_FOREST = Forest([SINGLETON])
 
 

@@ -121,7 +121,8 @@ SINGLETON = Tree()
 
 
 def singleton():
-    """The branchless tree; identity for grafting, evaluates to 1."""
+    """The branchless tree; identity for grafting, evaluates to 1.
+    Deprecated: use SINGLETON."""
     return SINGLETON
 
 
@@ -138,7 +139,8 @@ def graft(a, b):
 
 
 def compare(a, b):
-    """-1, 0 or 1; orders first by height, then arity, then lexicographically."""
+    """-1, 0 or 1; orders first by height, then arity, then lexicographically.
+    Deprecated: compare trees with < and ==."""
     ka, kb = a.sort_key(), b.sort_key()
     if ka < kb:
         return -1

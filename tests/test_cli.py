@@ -105,6 +105,26 @@ def test_sieve_fidelity():
     assert (code, out) == (0, "13\n17\n19\n")
 
 
+def test_sieve_show_composites_golden_hashes():
+    for q, digest in (
+            ("1009", "8dfa527c539d2d77e16a2c6094394cc5"
+                     "33302bf0dca0ca3703e6557a77dc4113"),
+            ("30011", "998cf15a13d6ebaf8eda2b2767e047ec"
+                      "0cb65ea3995c25a09ea07ffd8a8c5866")):
+        code, out, _ = invoke("sieve", q, "--show-composites")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, q
+
+
+def test_sieve_caps_refuse_large_q():
+    for argv, cap in ((["sieve", "4000037"], "4000000"),
+                      (["sieve", "4000037", "--show-composites"], "4000000"),
+                      (["sieve", "223", "--fidelity"], "211")):
+        code, out, err = run_cli(*argv, timeout=2)
+        assert (code, out) == (1, "")
+        assert f"cap {cap}" in err and "Traceback" not in err
+
+
 def test_sieve_not_prime_is_domain_error():
     code, out, err = invoke("sieve", "8")
     assert code == 1

@@ -1,13 +1,25 @@
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from primeforest import sieve
 from primeforest.codec import eval_integer_tree
-from primeforest.errors import NotPrime
+from primeforest.errors import DomainError, NotPrime, SizeOverBudget
+from primeforest.generator import bounded_value_trees
+from primeforest.primes import is_prime, primes_upto
 from primeforest.sieve import (
+    FIDELITY_CAP,
+    SIEVE_CAP,
     combinatorial_sieve,
     composites_in_window,
     eratosthenes,
     literal_fixpoint_sieve,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_eratosthenes():
@@ -25,9 +37,37 @@ def test_sieve_known_windows():
 
 
 def test_sieve_matches_eratosthenes_oracle():
-    for q in eratosthenes(101):
+    # every prime q <= 101, then the largest primes below seeded n <= 10^5
+    rng = random.Random(7)
+    seeded = [2 * 10 ** 4, 10 ** 5] + [rng.randrange(10 ** 3, 10 ** 5)
+                                      for _ in range(4)]
+    qs = eratosthenes(101) + [next(k for k in range(n, 1, -1) if is_prime(k))
+                              for n in seeded]
+    for q in qs:
         expected = [p for p in eratosthenes(2 * q) if p > q]
-        assert combinatorial_sieve(q) == expected
+        assert combinatorial_sieve(q) == expected, q
+
+
+def test_sieve_near_a_million_in_a_subprocess():
+    code = ("from primeforest.sieve import combinatorial_sieve, eratosthenes\n"
+            "q = 1000003\n"
+            "assert combinatorial_sieve(q) == "
+            "[p for p in eratosthenes(2 * q) if p > q]\n"
+            "print('ok')\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={"PYTHONPATH": str(SRC)}, capture_output=True,
+                          text=True, timeout=30)
+    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
+
+
+def test_sieve_caps():
+    for fn, q, cap in ((combinatorial_sieve, 4000037, SIEVE_CAP),
+                       (composites_in_window, 4000037, SIEVE_CAP),
+                       (literal_fixpoint_sieve, 223, FIDELITY_CAP)):
+        with pytest.raises(SizeOverBudget) as info:
+            fn(q)
+        assert (info.value.requested, info.value.cap) == (q, cap)
+        assert str(cap) in str(info.value)
 
 
 def test_sieve_rejects_composite_input():
@@ -41,6 +81,24 @@ def test_composites_in_window_values():
     assert [v for v, _ in composites_in_window(3)] == [4, 6]
     assert [v for v, _ in composites_in_window(13)] \
         == [14, 15, 16, 18, 20, 21, 22, 24, 25, 26]
+
+
+def test_composites_in_window_matches_the_tree_enumeration():
+    # the trees come from encode_integer; bounded_value_trees builds them
+    # independently
+    for q in eratosthenes(101):
+        labels = range(len(primes_upto(q)))
+        expected = sorted((v, t) for v, t in bounded_value_trees(labels, 2 * q)
+                          if v > q)
+        assert composites_in_window(q) == expected, q
+
+
+def test_a_value_reached_twice_is_refused(monkeypatch):
+    # a repeated exponent reaches v * p twice, as a broken bijection would
+    pairs = bounded_value_trees(range(1), 1)
+    monkeypatch.setattr(sieve, "bounded_value_trees", lambda *_: pairs * 2)
+    with pytest.raises(DomainError, match="reached twice"):
+        combinatorial_sieve(13)
 
 
 def test_composites_trees_evaluate_back():
