@@ -52,7 +52,6 @@ from .sieve import (
 from .tree_core import (
     Label,
     Tree,
-    compare,
     graft,
     label_tree,
     parse_sexpr,

@@ -8,6 +8,7 @@ evaluating a tree never consult the prime table; only label_tree, which
 means "the k-th prime", does.
 """
 
+import functools
 import re
 from typing import NamedTuple
 
@@ -36,10 +37,11 @@ class Label(NamedTuple):
         return (self.inverted, self.prime)
 
 
+@functools.total_ordering
 class Tree:
     """Immutable rooted tree with canonically ordered, distinct-labeled branches."""
 
-    __slots__ = ("branches", "height", "_hash", "_key")
+    __slots__ = ("branches", "height", "_hash")
 
     def __init__(self, branches=()):
         branches = tuple(sorted(branches, key=lambda b: b[0].sort_rank))
@@ -60,7 +62,6 @@ class Tree:
             self, "height",
             1 + max(s.height for _, s in branches) if branches else 0)
         object.__setattr__(self, "_hash", hash(branches))
-        object.__setattr__(self, "_key", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Tree is immutable")
@@ -85,15 +86,6 @@ class Tree:
             best = max(best, label.prime, sub.max_prime())
         return best
 
-    # total order: height, then branch count, then branch sequences
-    def sort_key(self):
-        if self._key is None:
-            key = (self.height, len(self.branches),
-                   tuple((label.sort_rank, sub.sort_key())
-                         for label, sub in self.branches))
-            object.__setattr__(self, "_key", key)
-        return self._key
-
     def __eq__(self, other):
         return (self is other
                 or (isinstance(other, Tree) and self.branches == other.branches))
@@ -102,16 +94,9 @@ class Tree:
         return self._hash
 
     def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
-
-    def __le__(self, other):
-        return self.sort_key() <= other.sort_key()
-
-    def __gt__(self, other):
-        return self.sort_key() > other.sort_key()
-
-    def __ge__(self, other):
-        return self.sort_key() >= other.sort_key()
+        if not isinstance(other, Tree):
+            return NotImplemented
+        return self is not other and _cmp(self, other) < 0
 
     def __repr__(self):
         return f"Tree({to_sexpr(self)!r})"
@@ -138,14 +123,21 @@ def graft(a, b):
     return Tree(a.branches + b.branches)
 
 
-def compare(a, b):
-    """-1, 0 or 1; orders first by height, then arity, then lexicographically.
-    Deprecated: compare trees with < and ==."""
-    ka, kb = a.sort_key(), b.sort_key()
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
+def _cmp(a, b):
+    """-1, 0 or 1 in canonical tree order: height, then branch count, then
+    branch by branch the label (by sort_rank) and the subtree."""
+    if a.height != b.height:
+        return -1 if a.height < b.height else 1
+    if len(a.branches) != len(b.branches):
+        return -1 if len(a.branches) < len(b.branches) else 1
+    for (la, sa), (lb, sb) in zip(a.branches, b.branches):
+        if la != lb:
+            return -1 if la.sort_rank < lb.sort_rank else 1
+        # enumerated trees share subtree objects, so most walks stop here
+        if sa is not sb:
+            c = _cmp(sa, sb)
+            if c:
+                return c
     return 0
 
 

@@ -47,7 +47,9 @@ def test_g_forest_counts_match():
 def test_g_forest_matches_bruteforce():
     for n, h in [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2),
                  (3, 1), (3, 2)]:
-        assert g_forest(n, h) == all_valid_trees_bruteforce(n, h)
+        # the brute force builds in product order, so this checks Forest's
+        # sort of unsorted input against the enumerator's canonical order
+        assert g_forest(n, h).trees == all_valid_trees_bruteforce(n, h).trees
 
 
 def _graft_raise_recurrence(n, h):

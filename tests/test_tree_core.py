@@ -1,11 +1,13 @@
+from fractions import Fraction
+
 import pytest
 
+from primeforest.codec import encode_rational
 from primeforest.errors import MisplacedInverse, ParseError, SiblingCollision
 from primeforest.tree_core import (
     SINGLETON,
     Label,
     Tree,
-    compare,
     graft,
     label_tree,
     parse_sexpr,
@@ -93,26 +95,69 @@ def test_inverted_allowed_at_depth_one():
     assert t.has_inverted
 
 
+def _order_sign(a, b):
+    """-1, 0 or 1 read off the comparison operators, which must agree."""
+    lt, le, gt, ge, eq = a < b, a <= b, a > b, a >= b, a == b
+    assert lt + gt + eq == 1
+    assert le == (lt or eq) and ge == (gt or eq)
+    return -1 if lt else 1 if gt else 0
+
+
 def test_compare_order():
     t0, t1 = label_tree(0), label_tree(1)
-    assert compare(SINGLETON, t0) == -1
-    assert compare(t0, t0) == 0
-    assert compare(t0, t1) == -1
+    assert _order_sign(SINGLETON, t0) == -1
+    assert _order_sign(t0, t0) == 0
+    assert _order_sign(t0, t1) == -1
     # plain sorts before inverted at equal index
-    assert compare(t0, label_tree(0, inverted=True)) == -1
+    assert _order_sign(t0, label_tree(0, inverted=True)) == -1
 
 
 def test_compare_total_order(rng):
     trees = [random_tree(rng, range(5), 3) for _ in range(60)]
     for a in trees:
         for b in trees:
-            ca, cb = compare(a, b), compare(b, a)
+            ca, cb = _order_sign(a, b), _order_sign(b, a)
             assert ca == -cb
             assert (ca == 0) == (a == b)
     # transitivity via sortedness
     ordered = sorted(trees)
     for x, y in zip(ordered, ordered[1:]):
-        assert compare(x, y) <= 0
+        assert x <= y
+
+
+def _reference_key(t):
+    # the canonical order spelled out as a nested tuple
+    return (t.height, len(t.branches),
+            tuple((label.sort_rank, _reference_key(sub))
+                  for label, sub in t.branches))
+
+
+def test_order_matches_reference_key(rng):
+    trees = [random_tree(rng, range(5), 3) for _ in range(50)]
+    # roots mixing plain and inverted labels
+    trees += [encode_rational(rng.randint(1, 60), rng.randint(1, 60))
+              for _ in range(50)]
+    # equal trees built apart, so the walk cannot stop at shared subtrees
+    trees += [parse_sexpr(to_sexpr(t)) for t in trees[::5]]
+    for a in trees:
+        ka = _reference_key(a)
+        for b in trees:
+            kb = _reference_key(b)
+            assert (a < b, a <= b, a > b, a >= b, a == b) == (
+                ka < kb, ka <= kb, ka > kb, ka >= kb, ka == kb)
+
+
+def test_order_against_non_tree_is_type_error():
+    for other in (3, "(r)", None, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            SINGLETON < other
+        with pytest.raises(TypeError):
+            other > label_tree(0)
+        with pytest.raises(TypeError):
+            SINGLETON <= other
+        with pytest.raises(TypeError):
+            SINGLETON >= other
+        assert SINGLETON != other
 
 
 def test_sexpr_roundtrip_known():
