@@ -163,9 +163,8 @@ def _cmd_rationals(args, out):
             budget = rationals.h_count(args.max_stage, args.max_stage, budget)
         except SizeOverBudget:
             pass
-    cap = _print_cap()
-    for tree in itertools.islice(rationals.rational_tree_stream(), budget):
-        value = codec.eval_rational_tree(tree, cap)
+    stream = rationals.rational_stream(_print_cap())
+    for value, tree in itertools.islice(stream, budget):
         print(f"{_format_value(value)}\t{to_sexpr(tree)}", file=out)
     return 0
 

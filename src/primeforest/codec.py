@@ -2,14 +2,15 @@
 
 Evaluation maps sibling branches to multiplication and a child subtree to
 its parent prime's exponent, leaves first (exponentiation does not
-associate).  Encoding inverts this by recursively factoring.
+associate).  All three evaluators run one walk, _value, exact or under a
+bound, and look for inverted labels at the root only: Tree keeps them
+there.  Encoding inverts this by recursively factoring.
 """
 
 from fractions import Fraction
 from math import gcd
 
-from .errors import (DomainError, InverseLabelPresent, MisplacedInverse,
-                     SizeOverBudget, ZeroInput)
+from .errors import InverseLabelPresent, SizeOverBudget, ZeroInput
 from .primes import (TABLE_CAP, is_prime, prime_by_index, prime_index_of,
                      table_primes)
 from .tree_core import SINGLETON, Label, Tree
@@ -28,10 +29,7 @@ def eval_integer_tree(t):
     """Exact integer value of a tree without inverted labels."""
     if t.has_inverted:
         raise InverseLabelPresent("tree carries inverted labels")
-    value = 1
-    for label, sub in t.branches:
-        value *= label.prime ** eval_integer_tree(sub)
-    return value
+    return _value(t)
 
 
 def encode_integer(m):
@@ -52,20 +50,15 @@ def eval_rational_tree(t, cap=None):
     and each root exponent is bounded before its power is taken, so no
     value far above the cap is ever built.
     """
-    num = 1
-    den = 1
+    num = den = 1
     for label, sub in t.branches:
-        if sub.has_inverted:
-            raise MisplacedInverse("inverted label below depth 1")
         p = label.prime
-        if cap is None:
-            e = eval_integer_tree(sub)
-        else:
-            # p >= 2**(bit_length - 1), so p**e <= cap needs
-            # e * (bit_length - 1) < cap.bit_length()
-            e = eval_bounded(sub, cap.bit_length() // (p.bit_length() - 1))
-            if e is OVER_BOUND:
-                raise _past_cap(cap)
+        # p >= 2**(bit_length - 1), so p**e <= cap needs
+        # e * (bit_length - 1) < cap.bit_length()
+        e = _value(sub, None if cap is None
+                   else cap.bit_length() // (p.bit_length() - 1))
+        if e is OVER_BOUND:
+            raise _past_cap(cap)
         if label.inverted:
             den *= p ** e
         else:
@@ -74,8 +67,6 @@ def eval_rational_tree(t, cap=None):
             raise _past_cap(cap)
     # reduced by construction: a prime never heads both a plain and an
     # inverted root branch
-    if gcd(num, den) != 1:
-        raise DomainError(f"tree evaluates to the unreduced {num}/{den}")
     return Fraction(num, den)
 
 
@@ -124,19 +115,22 @@ def eval_bounded(t, bound):
     """
     if t.has_inverted:
         raise InverseLabelPresent("tree carries inverted labels")
-    if bound < 1:
+    return _value(t, bound)
+
+
+def _value(t, bound=None):
+    """The value of a tree without inverted labels; given a bound,
+    OVER_BOUND once the value passes it."""
+    if bound is not None and bound < 1:
         return OVER_BOUND
     value = 1
     for label, sub in t.branches:
         p = label.prime
-        if p > bound:
-            return OVER_BOUND
-        ecap = ilog(bound, p)
-        e = eval_bounded(sub, ecap)
+        e = _value(sub, None if bound is None else ilog(bound, p))
         if e is OVER_BOUND:
             return OVER_BOUND
         value *= p ** e
-        if value > bound:
+        if bound is not None and value > bound:
             return OVER_BOUND
     return value
 

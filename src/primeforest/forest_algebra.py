@@ -1,6 +1,8 @@
 """Duplicate-free forests, the two forest operators (grafting and raising)
 and the canonical-order enumerator of trees of one height."""
 
+from bisect import bisect_left
+
 from .errors import SiblingCollision
 from .tree_core import SINGLETON, Tree, graft, to_sexpr
 
@@ -8,13 +10,11 @@ from .tree_core import SINGLETON, Tree, graft, to_sexpr
 class Forest:
     """An immutable set of trees, iterated in canonical tree order."""
 
-    __slots__ = ("trees", "_set")
+    __slots__ = ("trees",)
 
     def __init__(self, trees=()):
         # dict keeps input order, so canonical input sorts in one pass
-        uniq = dict.fromkeys(trees)
-        object.__setattr__(self, "trees", tuple(sorted(uniq)))
-        object.__setattr__(self, "_set", frozenset(uniq))
+        object.__setattr__(self, "trees", tuple(sorted(dict.fromkeys(trees))))
 
     def __setattr__(self, name, value):
         raise AttributeError("Forest is immutable")
@@ -26,13 +26,16 @@ class Forest:
         return len(self.trees)
 
     def __contains__(self, t):
-        return t in self._set
+        if not isinstance(t, Tree):
+            return False
+        i = bisect_left(self.trees, t)
+        return i < len(self.trees) and self.trees[i] == t
 
     def __eq__(self, other):
-        return isinstance(other, Forest) and self._set == other._set
+        return isinstance(other, Forest) and self.trees == other.trees
 
     def __hash__(self):
-        return hash(self._set)
+        return hash(self.trees)
 
     def __repr__(self):
         return f"Forest<{len(self)} trees>"
@@ -41,7 +44,7 @@ class Forest:
         return Forest(self.trees + tuple(other))
 
     def difference(self, other):
-        drop = other._set if isinstance(other, Forest) else set(other)
+        drop = set(other)
         return Forest(t for t in self.trees if t not in drop)
 
 

@@ -4,13 +4,15 @@ g_forest(n, h) lists, height by height in canonical order, the forest of
 all validly labeled trees over n labels with height at most h, which the
 paper builds by grafting and raising.  g_count predicts its size exactly,
 all_valid_trees_bruteforce re-derives the same set from subtrees of the
-complete n-ary tree, and g_stream_value_bounded prunes generation by
-integer value instead of height.
+complete n-ary tree; both refuse more than DEFAULT_CAP trees.
+bounded_value_trees prunes by integer value instead of height: it walks
+products of prime powers depth first, as the sieve does, taking its
+exponent trees from the same walk at the bound's bit length.
 """
 
 import itertools
 
-from .codec import _approx, ilog
+from .codec import _approx
 from .errors import SizeOverBudget
 from .forest_algebra import Forest, ordered_trees
 from .primes import prime_by_index
@@ -50,9 +52,9 @@ def _capped_power(base, n, cap, what):
     return s
 
 
-def g_forest(n, h, cap=DEFAULT_CAP):
+def g_forest(n, h):
     """The forest of all validly labeled trees over n labels, height <= h."""
-    g_count(n, h, cap)
+    g_count(n, h, DEFAULT_CAP)
     labels = [Label(p) for p in map(prime_by_index, range(n))]
     trees = [SINGLETON]
     for height in range(1, h + 1):
@@ -60,14 +62,14 @@ def g_forest(n, h, cap=DEFAULT_CAP):
     return Forest(trees)
 
 
-def all_valid_trees_bruteforce(n, h, cap=DEFAULT_CAP):
+def all_valid_trees_bruteforce(n, h):
     """Independent enumeration via rooted subtrees of the complete n-ary tree.
 
     Each of the n child slots of a vertex is either absent or carries,
     recursively, any subtree of the next level down; slot k maps to
     label k.
     """
-    g_count(n, h, cap)
+    g_count(n, h, DEFAULT_CAP)
     return Forest(_subtrees(n, h))
 
 
@@ -91,11 +93,8 @@ def g_stream_value_bounded(prime_indices, bound):
     Sound pruning: attaching a branch or deepening an exponent multiplies
     the evaluation by at least 2, so search is cut at the bound.
     """
-    if bound < 2:
-        return
     pairs = bounded_value_trees(prime_indices, bound)
-    for tree in sorted(t for _, t in pairs if not t.is_singleton):
-        yield tree
+    yield from sorted(t for _, t in pairs if not t.is_singleton)
 
 
 def bounded_value_trees(prime_indices, bound):
@@ -105,35 +104,30 @@ def bounded_value_trees(prime_indices, bound):
     label set.
     """
     labels = [Label(p) for p in sorted(map(prime_by_index, set(prime_indices)))]
-    trees_memo = {}
-    combo_memo = {}
+    return _bounded_value_trees(labels, bound)
 
-    def trees_upto(budget):
-        # (value, tree) with value <= budget
-        if budget < 1:
-            return []
-        if budget not in trees_memo:
-            trees_memo[budget] = [
-                (v, Tree(branches)) for v, branches in combos(0, budget)]
-        return trees_memo[budget]
 
-    def combos(i, budget):
-        # (value, branches) built from primes[i:], value <= budget
-        key = (i, budget)
-        if key in combo_memo:
-            return combo_memo[key]
-        out = [(1, ())]
+def _bounded_value_trees(labels, bound):
+    if bound < 1:
+        return []
+    # p**e <= bound with p >= 2 needs e <= bound.bit_length() - 1; ascending
+    # values, so the walk can stop at the first power past the bound
+    exponents = sorted(_bounded_value_trees(labels, bound.bit_length() - 1))
+    out = [(1, SINGLETON)]
+
+    def walk(v, i, branches):
+        # v times a prime power of labels[j], j >= i, times what follows
         for j in range(i, len(labels)):
             label = labels[j]
-            p = label.prime
-            if p > budget:
-                break
-            max_exp = ilog(budget, p)
-            for e, etree in trees_upto(max_exp):
-                pe = p ** e
-                for v, branches in combos(j + 1, budget // pe):
-                    out.append((pe * v, ((label, etree),) + branches))
-        combo_memo[key] = out
-        return out
+            if v * label.prime > bound:
+                return
+            for e, etree in exponents:
+                w = v * label.prime ** e
+                if w > bound:
+                    break
+                grown = branches + ((label, etree),)
+                out.append((w, Tree(grown)))
+                walk(w, j + 1, grown)
 
-    return trees_upto(bound)
+    walk(1, 0, ())
+    return out

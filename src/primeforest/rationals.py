@@ -33,11 +33,11 @@ def h_count(i, m, cap=None):
                          f"h_count({i}, {m})")
 
 
-def h_forest(i, m, cap=DEFAULT_CAP):
+def h_forest(i, m):
     """All rational trees over the first m primes whose root branches carry
     exponent trees of height <= i."""
-    h_count(i, m, cap)
-    exponents = g_forest(m, i, cap)
+    h_count(i, m, DEFAULT_CAP)
+    exponents = g_forest(m, i)
     acc = UNIT_FOREST
     for k in range(m):
         factor = (raise_forest(label_tree(k, inverted=True), exponents)
@@ -54,27 +54,27 @@ def minimal_stage(t):
     return max(t.height - 1, prime_index_of(t.max_prime()) + 1)
 
 
-def rational_tree_stream(cap=DEFAULT_CAP):
+def rational_tree_stream():
     """Unbounded stream of trees, one per positive rational, duplicate-free.
 
     Stage s emits the members of h_forest(s, s) not already seen at stage
     s - 1, in canonical tree order, without materializing whole stages.
     """
     for s in itertools.count(1):
-        yield from stage_trees(s, cap)
+        yield from stage_trees(s)
 
 
-def rational_stream(cap=DEFAULT_CAP):
+def rational_stream(cap=None):
     """rational_tree_stream paired with exact evaluations.
 
-    Beware: deep in the stream, exponent towers make exact values
-    astronomically large; consume through rational_tree_stream when only
-    the trees are needed.
+    Deep in the stream, exponent towers make exact values astronomically
+    large (past 2^(10^6) from item 7,437 on).  Given a cap, a numerator or
+    denominator above it raises SizeOverBudget before it is built.
     """
-    return ((eval_rational_tree(t), t) for t in rational_tree_stream(cap))
+    return ((eval_rational_tree(t, cap), t) for t in rational_tree_stream())
 
 
-def stage_trees(s, cap=DEFAULT_CAP):
+def stage_trees(s):
     """Canonical-order members of h_forest(s, s) absent from the previous
     stage, generated lazily height by height."""
     if s == 1:
@@ -82,7 +82,7 @@ def stage_trees(s, cap=DEFAULT_CAP):
     labels = [Label(p, inverted) for inverted in (False, True)
               for p in map(prime_by_index, range(s))]
     for height in range(1, s + 2):
-        trees = ordered_trees(labels, g_forest(s, height - 1, cap), height)
+        trees = ordered_trees(labels, g_forest(s, height - 1), height)
         while batch := list(itertools.islice(trees, _BATCH)):
             yield from [t for t in batch if minimal_stage(t) == s]
 

@@ -129,7 +129,7 @@ def _gap_midpoints(flags, q):
     return out
 
 
-def literal_fixpoint_sieve(q, cap=DEFAULT_CAP):
+def literal_fixpoint_sieve(q):
     """Same output as combinatorial_sieve, computed through the
     grafting/raising fixpoint over successive forest generations.
 
@@ -152,9 +152,9 @@ def literal_fixpoint_sieve(q, cap=DEFAULT_CAP):
         acc = UNIT_FOREST
         for k in range(n):
             factor = prune(UNIT_FOREST.union(raise_forest(label_tree(k), forest)))
-            if len(acc) * len(factor) > cap:
+            if len(acc) * len(factor) > DEFAULT_CAP:
                 raise SizeOverBudget(
-                    f"fixpoint sieve generation exceeds cap {cap}")
+                    f"fixpoint sieve generation exceeds cap {DEFAULT_CAP}")
             acc = prune(graft_forests(acc, factor))
         return acc
 

@@ -68,7 +68,8 @@ class Tree:
 
     @property
     def has_inverted(self):
-        return any(label.inverted for label, _ in self.branches)
+        # canonical order puts inverted labels last
+        return bool(self.branches) and self.branches[-1][0].inverted
 
     @property
     def is_singleton(self):
@@ -148,7 +149,10 @@ def validate(raw):
     pair where label is a prime (an int) or its text form, "<prime>" or
     "1/<prime>".
     """
-    return _build(raw)
+    try:
+        return _build(raw)
+    except RecursionError:
+        raise ParseError("tree nested too deeply to validate") from None
 
 
 def _build(raw_branches):

@@ -19,6 +19,7 @@ from primeforest.primes import is_prime
 from primeforest.tree_core import (
     SINGLETON,
     Label,
+    Tree,
     graft,
     label_tree,
     parse_sexpr,
@@ -74,8 +75,20 @@ def test_eval_multiplicative(rng):
     for _ in range(100):
         a = random_tree(rng, range(0, 8, 2), 2)
         b = random_tree(rng, range(1, 8, 2), 2)
-        assert eval_integer_tree(graft(a, b)) \
-            == eval_integer_tree(a) * eval_integer_tree(b)
+        va, vb = eval_integer_tree(a), eval_integer_tree(b)
+        assert eval_integer_tree(graft(a, b)) == va * vb
+        # the three evaluators agree
+        assert eval_bounded(a, va) == eval_rational_tree(a) == va
+        assert eval_bounded(a, va - 1) is OVER_BOUND
+        # b's root labels inverted: the tree of va / vb
+        r = Tree(a.branches + tuple((Label(label.prime, True), sub)
+                                    for label, sub in b.branches))
+        top = max(va, vb)
+        assert eval_rational_tree(r) == eval_rational_tree(r, top) \
+            == Fraction(va, vb)
+        if top > 1:
+            with pytest.raises(SizeOverBudget):
+                eval_rational_tree(r, top - 1)
 
 
 def test_rational_known_values():
@@ -114,8 +127,6 @@ def test_eval_bounded_overbound():
 
 
 def test_eval_bounded_short_circuits_towers():
-    from primeforest.tree_core import Tree
-
     tower = SINGLETON
     for _ in range(50):  # 2^2^...^2, fifty levels
         tower = Tree(((Label(2), tower),))

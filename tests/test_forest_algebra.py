@@ -88,3 +88,4 @@ def test_set_operations():
     assert f.difference(g) == Forest([label_tree(0)])
     assert label_tree(0) in f
     assert label_tree(0) not in g
+    assert 3 not in f and "(r)" not in f

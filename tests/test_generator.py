@@ -5,6 +5,7 @@ from primeforest.errors import SizeOverBudget
 from primeforest.forest_algebra import Forest, graft_forests, raise_forest
 from primeforest.generator import (
     all_valid_trees_bruteforce,
+    bounded_value_trees,
     g_count,
     g_forest,
     g_stream_value_bounded,
@@ -129,6 +130,10 @@ def test_value_bounded_stream_vs_integer_scan():
         got = sorted(eval_integer_tree(t)
                      for t in g_stream_value_bounded(labels, bound))
         assert got == _smooth_values(primes, bound)
+        # each value once, paired with its own tree
+        pairs = bounded_value_trees(labels, bound)
+        assert sorted(v for v, _ in pairs) == [1] + got
+        assert all(eval_integer_tree(t) == v for v, t in pairs)
 
 
 def test_value_bounded_stream_canonical_order():

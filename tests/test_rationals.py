@@ -150,6 +150,17 @@ def test_stream_first_entries():
             Fraction(1, 4)}
 
 
+def test_rational_stream_stops_at_the_value_cap():
+    values = []
+    with pytest.raises(SizeOverBudget, match="value exceeds the cap 5") as info:
+        for value, _ in rational_stream(cap=5):
+            values.append(value)
+    assert info.value.cap == 5
+    # the entry after 1/3 is 6
+    assert values == [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(4),
+                      Fraction(1, 4), Fraction(3), Fraction(1, 3)]
+
+
 def test_stream_duplicate_free_prefix():
     trees = list(itertools.islice(rational_tree_stream(), 4000))
     assert len(set(trees)) == len(trees)

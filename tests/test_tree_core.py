@@ -93,6 +93,19 @@ def test_validate_rejects_plain_and_inverted_same_prime():
 def test_inverted_allowed_at_depth_one():
     t = validate([("1/2", [(3, [])])])
     assert t.has_inverted
+    # canonical order puts the inverted branch last, whatever the input order
+    for text, inverted in (("(r (3) (1/2))", True), ("(r (1/2))", True),
+                           ("(r (2) (3))", False), ("(r)", False)):
+        assert parse_sexpr(text).has_inverted is inverted, text
+    assert validate([("1/2", []), (3, [])]).has_inverted
+
+
+def test_validate_refuses_deep_nesting():
+    raw = []
+    for _ in range(3000):
+        raw = [(2, raw)]
+    with pytest.raises(ParseError, match="nested too deeply"):
+        validate(raw)
 
 
 def _order_sign(a, b):
