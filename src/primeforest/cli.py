@@ -101,18 +101,17 @@ def _cmd_decode(args, out):
 def _forest_dot(forest, out):
     print("digraph forest {", file=out)
     counter = itertools.count()
-
-    def emit(node, node_id):
-        for label, sub in node.branches:
-            child_id = next(counter)
-            print(f'  n{child_id} [label="{label.text}"];', file=out)
-            print(f"  n{node_id} -> n{child_id};", file=out)
-            emit(sub, child_id)
-
     for tree in forest:
         root_id = next(counter)
         print(f'  n{root_id} [label="r"];', file=out)
-        emit(tree, root_id)
+        # vertices numbered in preorder, children in branch order
+        stack = [(root_id, b) for b in reversed(tree.branches)]
+        while stack:
+            parent_id, (label, sub) = stack.pop()
+            child_id = next(counter)
+            print(f'  n{child_id} [label="{label.text}"];', file=out)
+            print(f"  n{parent_id} -> n{child_id};", file=out)
+            stack += [(child_id, b) for b in reversed(sub.branches)]
     print("}", file=out)
 
 
@@ -123,8 +122,7 @@ def _cmd_forest(args, out):
     if args.dot:
         _forest_dot(forest, out)
     else:
-        for tree in forest:
-            print(to_sexpr(tree), file=out)
+        out.writelines(to_sexpr(tree) + "\n" for tree in forest)
     return 0
 
 
@@ -246,10 +244,7 @@ def run(argv, out=None, err=None):
         return exc.code if exc.code is not None else 2
     try:
         return _HANDLERS[args.command](args, out)
-    except DomainError as exc:
-        print(f"error: {exc}", file=err)
-        return 1
-    except ValueError as exc:
+    except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return 1
 

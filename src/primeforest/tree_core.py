@@ -6,6 +6,11 @@ labeling a valid tree cannot carry, so structural equality is semantic
 equality.  A Label carries its prime itself, so building, printing and
 evaluating a tree never consult the prime table; only label_tree, which
 means "the k-th prime", does.
+
+Parse and validate refuse trees taller than MAX_DEPTH, at which the walks
+that stay recursive (equality, _cmp, codec._value, max_prime, leaf_count)
+fit under the default recursion limit: equality, the costliest, takes four
+of its levels per tree level on CPython 3.11.
 """
 
 import functools
@@ -14,6 +19,9 @@ from typing import NamedTuple
 
 from .errors import MisplacedInverse, ParseError, SiblingCollision
 from .primes import is_prime, prime_by_index
+
+MAX_DEPTH = 200
+_TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
 class Label(NamedTuple):
@@ -44,23 +52,26 @@ class Tree:
     __slots__ = ("branches", "height", "_hash")
 
     def __init__(self, branches=()):
-        branches = tuple(sorted(branches, key=lambda b: b[0].sort_rank))
+        branches = tuple(sorted(branches, key=_branch_rank))
+        repeats = len({label.prime for label, _ in branches}) < len(branches)
         seen = set()
+        height = 0
         for label, sub in branches:
-            if label.prime in seen:
-                # also refused: one prime heading both a plain and an
-                # inverted branch, which would evaluate to an unreduced
-                # rational
-                raise SiblingCollision(
-                    f"sibling labels repeat the prime {label.prime}")
-            seen.add(label.prime)
+            if repeats:
+                if label.prime in seen:
+                    # also refused: one prime heading both a plain and an
+                    # inverted branch, which would evaluate to an unreduced
+                    # rational
+                    raise SiblingCollision(
+                        f"sibling labels repeat the prime {label.prime}")
+                seen.add(label.prime)
             if sub.has_inverted:
                 raise MisplacedInverse(
                     f"inverted label below vertex {label.text}")
+            if sub.height >= height:
+                height = sub.height + 1
         object.__setattr__(self, "branches", branches)
-        object.__setattr__(
-            self, "height",
-            1 + max(s.height for _, s in branches) if branches else 0)
+        object.__setattr__(self, "height", height)
         object.__setattr__(self, "_hash", hash(branches))
 
     def __setattr__(self, name, value):
@@ -101,6 +112,12 @@ class Tree:
 
     def __repr__(self):
         return f"Tree({to_sexpr(self)!r})"
+
+
+def _branch_rank(branch):
+    # Label.sort_rank, read without the property call
+    label = branch[0]
+    return label.inverted, label.prime
 
 
 SINGLETON = Tree()
@@ -147,22 +164,21 @@ def validate(raw):
 
     Raw form: an iterable of branches, each branch a (label, sub_branches)
     pair where label is a prime (an int) or its text form, "<prime>" or
-    "1/<prime>".
+    "1/<prime>".  Nesting deeper than MAX_DEPTH is refused.
     """
-    try:
-        return _build(raw)
-    except RecursionError:
-        raise ParseError("tree nested too deeply to validate") from None
+    return _build(raw, 1)
 
 
-def _build(raw_branches):
+def _build(raw_branches, depth):
     branches = []
     for item in raw_branches:
         try:
             label_spec, sub = item
         except (TypeError, ValueError):
             raise ParseError(f"branch must be a (label, children) pair: {item!r}")
-        branches.append((_parse_label(label_spec), _build(sub)))
+        if depth > MAX_DEPTH:
+            raise ParseError(f"tree nested too deeply (over {MAX_DEPTH} levels)")
+        branches.append((_parse_label(label_spec), _build(sub, depth + 1)))
     return Tree(branches)
 
 
@@ -193,47 +209,49 @@ def _parse_label(spec):
 # Example: integer 12 <-> "(r (2 (2)) (3))"
 
 def to_sexpr(t):
-    return "(r" + "".join(" " + _branch_text(b) for b in t.branches) + ")"
-
-
-def _branch_text(branch):
-    label, sub = branch
-    return ("(" + label.text
-            + "".join(" " + _branch_text(b) for b in sub.branches) + ")")
+    texts = {}          # label -> " (<label>", built once per call
+    out = ["(r"]
+    stack = [iter(t.branches)]
+    while stack:
+        for label, sub in stack[-1]:
+            out.append(texts.get(label)
+                       or texts.setdefault(label, " (" + label.text))
+            if sub.branches:
+                stack.append(iter(sub.branches))
+                break
+            out.append(")")
+        else:           # every branch at this level is printed
+            stack.pop()
+            out.append(")")
+    return "".join(out)
 
 
 def parse_sexpr(text):
     """Parse the canonical S-expression form back into a Tree."""
-    tokens = re.findall(r"[()]|[^\s()]+", text)
-    pos = 0
-
-    def expect(tok):
-        nonlocal pos
-        if pos >= len(tokens) or tokens[pos] != tok:
-            raise ParseError(f"expected {tok!r} at token {pos} in {text!r}")
-        pos += 1
-
-    def parse_branches():
-        nonlocal pos
-        branches = []
-        while pos < len(tokens) and tokens[pos] == "(":
-            pos += 1
-            if pos >= len(tokens):
-                raise ParseError("unterminated branch")
-            label = _parse_label(tokens[pos])
-            pos += 1
-            children = parse_branches()
-            expect(")")
-            branches.append((label, Tree(children) if children else SINGLETON))
-        return branches
-
-    expect("(")
-    expect("r")
-    try:
-        branches = parse_branches()
-    except RecursionError:
-        raise ParseError("tree nested too deeply to parse") from None
-    expect(")")
-    if pos != len(tokens):
-        raise ParseError(f"trailing tokens in {text!r}")
-    return Tree(branches)
+    tokens = iter(_TOKEN.findall(text))
+    if next(tokens, None) != "(" or next(tokens, None) != "r":
+        raise ParseError(f"expected '(r' at the start of {text!r}")
+    labels = {}         # token -> Label: each label text is checked once
+    stack = [[None]]    # the root, then each open branch: label, branches
+    for tok in tokens:
+        if tok == "(":
+            if len(stack) > MAX_DEPTH:
+                raise ParseError(
+                    f"tree nested too deeply (over {MAX_DEPTH} levels)")
+            tok = next(tokens, None)
+            if tok is None:
+                raise ParseError(f"unterminated branch in {text!r}")
+            label = labels.get(tok)
+            if label is None:
+                label = labels[tok] = _parse_label(tok)
+            stack.append([label])
+        elif tok == ")":
+            label, *children = stack.pop()
+            if not stack:
+                if next(tokens, None) is not None:
+                    raise ParseError(f"trailing tokens in {text!r}")
+                return Tree(children)
+            stack[-1].append((label, Tree(children) if children else SINGLETON))
+        else:
+            raise ParseError(f"stray token {tok!r} in {text!r}")
+    raise ParseError(f"unterminated tree in {text!r}")

@@ -4,8 +4,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from primeforest.cli import run
+from primeforest.cli import _forest_dot, run
 from primeforest.generator import g_count
+from primeforest.tree_core import SINGLETON, Label, Tree
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -180,6 +181,33 @@ def test_forest_golden_hash():
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "554bfc6de743115430b408e59284a61b66d207e345ac8170127928e7e4234ec2")
+
+
+def test_forest_dot_golden_hash():
+    code, out, _ = invoke("forest", "--labels", "2", "--height", "2", "--dot")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "93e46889b07ce647a9ffbdddfe12b1a424679d58f3ee3a57a306e461d7f5b2bd")
+
+
+def test_forest_dot_of_a_tall_chain():
+    # vertices are numbered in preorder by a loop, not a recursion
+    chain = SINGLETON
+    for _ in range(3000):
+        chain = Tree(((Label(2), chain),))
+    out = io.StringIO()
+    _forest_dot([SINGLETON, chain], out)
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 2 + 2 + 2 * 3000
+    assert lines[-3:] == ['  n3001 [label="2"];', "  n3000 -> n3001;", "}"]
+
+
+def test_rationals_golden_hash():
+    # items 1-101 print, then the cap stops the stream with exit 1
+    code, out, _ = invoke("rationals", "--count", "3000")
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fe7daebb9bcf84048e66a34170fc3fff77e974832c4de1231b13f6f4031c832a")
 
 
 def test_deterministic_output():

@@ -1,10 +1,15 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from primeforest import tree_core
 from primeforest.codec import encode_rational
 from primeforest.errors import MisplacedInverse, ParseError, SiblingCollision
+from primeforest.generator import g_forest
+from primeforest.rationals import rational_tree_stream
 from primeforest.tree_core import (
+    MAX_DEPTH,
     SINGLETON,
     Label,
     Tree,
@@ -213,3 +218,142 @@ def test_canonical_order_of_branches():
     b = Tree([(Label(2), SINGLETON), (Label(3), SINGLETON)])
     assert a == b
     assert to_sexpr(a) == "(r (2) (3))"
+
+
+def _chain(depth):
+    """root -> 2 -> 2 -> ... -> 2, `depth` labeled vertices."""
+    t = SINGLETON
+    for _ in range(depth):
+        t = Tree(((Label(2), t),))
+    return t
+
+
+def _raw_chain(depth):
+    raw = []
+    for _ in range(depth):
+        raw = [(2, raw)]
+    return raw
+
+
+def test_a_chain_at_the_depth_budget_prints_and_round_trips():
+    t = _chain(MAX_DEPTH)
+    text = to_sexpr(t)
+    assert text == "(r" + " (2" * MAX_DEPTH + ")" * (MAX_DEPTH + 1)
+    assert repr(t) == f"Tree({text!r})"
+    assert parse_sexpr(text) == t
+    assert validate(_raw_chain(MAX_DEPTH)) == t
+    assert (t.height, t.leaf_count(), t.max_prime()) == (MAX_DEPTH, 1, 2)
+
+
+def test_one_level_past_the_depth_budget_is_refused():
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_sexpr(to_sexpr(_chain(MAX_DEPTH + 1)))
+    with pytest.raises(ParseError, match="nested too deeply"):
+        validate(_raw_chain(MAX_DEPTH + 1))
+
+
+def test_printing_a_tall_tree_needs_no_recursion():
+    text = to_sexpr(_chain(5000))
+    assert text == "(r" + " (2" * 5000 + ")" * 5001
+
+
+def _reference_sexpr(t):
+    # the recursive printer that to_sexpr replaced
+    return "(r" + "".join(" " + _reference_branch(b) for b in t.branches) + ")"
+
+
+def _reference_branch(branch):
+    label, sub = branch
+    return ("(" + label.text
+            + "".join(" " + _reference_branch(b) for b in sub.branches) + ")")
+
+
+def test_printer_and_parser_match_the_recursive_reference(rng):
+    trees = [random_tree(rng, range(6), 4) for _ in range(300)]
+    # roots mixing plain and inverted labels
+    trees += [encode_rational(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+              for _ in range(300)]
+    trees += g_forest(3, 2)
+    trees += itertools.islice(rational_tree_stream(), 3000)
+    assert any(t.has_inverted and t.branches[0][0].inverted is False
+               for t in trees)
+    for t in trees:
+        text = to_sexpr(t)
+        assert text == _reference_sexpr(t)
+        assert parse_sexpr(text) == t
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", r"expected '\(r'"),
+    ("(x (2))", r"expected '\(r'"),
+    ("r (2))", r"expected '\(r'"),
+    ("(r (", "unterminated branch"),
+    ("(r", "unterminated tree"),
+    ("(r (2 (3)", "unterminated tree"),
+    ("(r junk)", "stray token 'junk'"),
+    ("(r (2) 3)", "stray token '3'"),
+    ("(r (2)) junk", "trailing tokens"),
+    ("(r))", "trailing tokens"),
+    ("(r (2.0))", "bad label '2.0'"),
+    ("(r (()))", r"bad label '\('"),
+    ("(r (1/x))", "bad label '1/x'"),
+    ("(r (4))", "label '4' is not a prime"),
+    ("(r (1/1))", "label '1/1' is not a prime"),
+])
+def test_parse_errors_name_the_fault(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_sexpr(text)
+
+
+def test_parse_checks_each_label_text_once(monkeypatch):
+    checked = []
+
+    def counting_is_prime(n):
+        checked.append(n)
+        return n in (2, 3)
+
+    monkeypatch.setattr(tree_core, "is_prime", counting_is_prime)
+    t = parse_sexpr("(r (2 (2 (2)) (3 (2))) (1/3 (2)))")
+    assert to_sexpr(t) == "(r (2 (2 (2)) (3 (2))) (1/3 (2)))"
+    assert sorted(checked) == [2, 3, 3]
+
+
+def _reference_fault(branches):
+    """The exception Tree raises: the first fault in canonical order, a
+    repeated prime checked before an inverted label below."""
+    seen = set()
+    for label, sub in sorted(branches, key=lambda b: b[0].sort_rank):
+        if label.prime in seen:
+            return (SiblingCollision,
+                    f"sibling labels repeat the prime {label.prime}")
+        seen.add(label.prime)
+        if sub.has_inverted:
+            return (MisplacedInverse,
+                    f"inverted label below vertex {label.text}")
+    return None
+
+
+def test_construction_faults_match_the_reference(rng):
+    inverted_below = Tree(((Label(5, True), SINGLETON),))
+    subs = [SINGLETON, label_tree(0), inverted_below]
+    labels = [Label(p, inverted) for p in (2, 3) for inverted in (False, True)]
+    faults = set()
+    for _ in range(2000):
+        branches = [(rng.choice(labels), rng.choice(subs))
+                    for _ in range(rng.randint(0, 4))]
+        expected = _reference_fault(branches)
+        if expected is None:
+            Tree(branches)
+            continue
+        with pytest.raises(expected[0]) as info:
+            Tree(branches)
+        assert str(info.value) == expected[1]
+        faults.add(expected[0])
+    assert faults == {SiblingCollision, MisplacedInverse}
+    # one branch tuple with both faults: the first in canonical order wins
+    with pytest.raises(MisplacedInverse):
+        Tree([(Label(2), inverted_below), (Label(3), SINGLETON),
+              (Label(3), SINGLETON)])
+    with pytest.raises(SiblingCollision):
+        Tree([(Label(2), SINGLETON), (Label(3), SINGLETON),
+              (Label(2, True), inverted_below)])
