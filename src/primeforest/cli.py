@@ -71,7 +71,7 @@ def _parse_rational(text):
 
 def _print_cap():
     """Largest integer that int-to-str will convert, or None if unlimited."""
-    limit = sys.get_int_max_str_digits()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     return 10 ** limit - 1 if limit else None
 
 

@@ -4,7 +4,7 @@ Evaluation maps sibling branches to multiplication and a child subtree to
 its parent prime's exponent, leaves first (exponentiation does not
 associate).  All three evaluators run one walk, _value, exact or under a
 bound, and look for inverted labels at the root only: Tree keeps them
-there.  Encoding inverts this by recursively factoring.
+there.  Encoding inverts this by factoring, with a table of exponent trees.
 """
 
 from fractions import Fraction
@@ -40,7 +40,13 @@ def encode_integer(m):
         raise ZeroInput("negative integers have no tree")
     if m == 1:
         return SINGLETON
-    return Tree(tuple((Label(p), encode_integer(e)) for p, e in factor(m)))
+    return Tree(_factor_branches(m))
+
+
+def _factor_branches(m, inverted=False):
+    """The branch p -> (tree of e) of each prime power p^e in m >= 2."""
+    return [(Label(p, inverted), _EXPONENT_TREES[e] if e < len(_EXPONENT_TREES)
+             else encode_integer(e)) for p, e in factor(m)]
 
 
 def eval_rational_tree(t, cap=None):
@@ -79,11 +85,10 @@ def encode_rational(num, den=1):
     den //= g
     branches = []
     if num > 1:
-        branches += [(Label(p), encode_integer(e)) for p, e in factor(num)]
+        branches += _factor_branches(num)
     if den > 1:
-        branches += [(Label(p, inverted=True), encode_integer(e))
-                     for p, e in factor(den)]
-    return Tree(tuple(branches))
+        branches += _factor_branches(den, inverted=True)
+    return Tree(branches)
 
 
 def _past_cap(cap):
@@ -174,3 +179,8 @@ def factor(m):
     if rest > 1:
         out.append((rest, 1))
     return out
+
+
+# encode_integer(e) at index e = 1..127: the exponents of every m < 2^128
+_EXPONENT_TREES = ()    # empty while encode_integer builds it
+_EXPONENT_TREES = (None,) + tuple(map(encode_integer, range(1, 128)))

@@ -5,23 +5,20 @@ unlabeled root.  Construction canonicalizes branch order and rejects any
 labeling a valid tree cannot carry, so structural equality is semantic
 equality.  A Label carries its prime itself, so building, printing and
 evaluating a tree never consult the prime table; only label_tree, which
-means "the k-th prime", does.
+means "the k-th prime", does.  Labels of the primes below 2^10 come from
+a fixed table, checked once at import.
 
-Parse and validate refuse trees taller than MAX_DEPTH, at which the walks
-that stay recursive (equality, _cmp, codec._value, max_prime, leaf_count)
-fit under the default recursion limit: equality, the costliest, takes four
-of its levels per tree level on CPython 3.11.
+Every walk here is iterative, and only codec._value recurses, so
+MAX_DEPTH guards parse and validate input only.
 """
 
 import functools
-import re
 from typing import NamedTuple
 
 from .errors import MisplacedInverse, ParseError, SiblingCollision
 from .primes import is_prime, prime_by_index
 
 MAX_DEPTH = 200
-_TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
 class Label(NamedTuple):
@@ -52,9 +49,12 @@ class Tree:
     __slots__ = ("branches", "height", "_hash")
 
     def __init__(self, branches=()):
-        branches = tuple(sorted(branches, key=_branch_rank))
-        repeats = len({label.prime for label, _ in branches}) < len(branches)
-        seen = set()
+        branches = tuple(branches)
+        repeats = False
+        if len(branches) > 1:
+            branches = tuple(sorted(branches, key=_branch_rank))
+            repeats = len({label.prime for label, _ in branches}) < len(branches)
+            seen = set()
         height = 0
         for label, sub in branches:
             if repeats:
@@ -65,7 +65,7 @@ class Tree:
                     raise SiblingCollision(
                         f"sibling labels repeat the prime {label.prime}")
                 seen.add(label.prime)
-            if sub.has_inverted:
+            if sub.branches and sub.branches[-1][0].inverted:
                 raise MisplacedInverse(
                     f"inverted label below vertex {label.text}")
             if sub.height >= height:
@@ -86,21 +86,25 @@ class Tree:
     def is_singleton(self):
         return not self.branches
 
+    def _walk(self):
+        """Every (label, subtree) branch, at any depth."""
+        stack = [self]
+        while stack:
+            for branch in stack.pop().branches:
+                yield branch
+                stack.append(branch[1])
+
     def leaf_count(self):
-        if not self.branches:
-            return 1
-        return sum(sub.leaf_count() for _, sub in self.branches)
+        return sum(not sub.branches for _, sub in self._walk()) or 1
 
     def max_prime(self):
         """Largest prime used anywhere, or 1 for the singleton."""
-        best = 1
-        for label, sub in self.branches:
-            best = max(best, label.prime, sub.max_prime())
-        return best
+        return max((label.prime for label, _ in self._walk()), default=1)
 
     def __eq__(self, other):
-        return (self is other
-                or (isinstance(other, Tree) and self.branches == other.branches))
+        return self is other or (isinstance(other, Tree)
+                                 and self._hash == other._hash
+                                 and _cmp(self, other) == 0)
 
     def __hash__(self):
         return self._hash
@@ -144,18 +148,21 @@ def graft(a, b):
 def _cmp(a, b):
     """-1, 0 or 1 in canonical tree order: height, then branch count, then
     branch by branch the label (by sort_rank) and the subtree."""
-    if a.height != b.height:
-        return -1 if a.height < b.height else 1
-    if len(a.branches) != len(b.branches):
-        return -1 if len(a.branches) < len(b.branches) else 1
-    for (la, sa), (lb, sb) in zip(a.branches, b.branches):
-        if la != lb:
-            return -1 if la.sort_rank < lb.sort_rank else 1
-        # enumerated trees share subtree objects, so most walks stop here
-        if sa is not sb:
-            c = _cmp(sa, sb)
-            if c:
-                return c
+    stack = [iter((((None, a), (None, b)),))]   # the roots, unlabeled
+    while stack:
+        for (la, a), (lb, b) in stack[-1]:
+            if la != lb:
+                return -1 if la.sort_rank < lb.sort_rank else 1
+            # enumerated trees share subtree objects, so most walks stop here
+            if a is not b:
+                if a.height != b.height:
+                    return -1 if a.height < b.height else 1
+                if len(a.branches) != len(b.branches):
+                    return -1 if len(a.branches) < len(b.branches) else 1
+                stack.append(zip(a.branches, b.branches))
+                break
+        else:
+            stack.pop()
     return 0
 
 
@@ -166,20 +173,24 @@ def validate(raw):
     pair where label is a prime (an int) or its text form, "<prime>" or
     "1/<prime>".  Nesting deeper than MAX_DEPTH is refused.
     """
-    return _build(raw, 1)
-
-
-def _build(raw_branches, depth):
-    branches = []
-    for item in raw_branches:
-        try:
-            label_spec, sub = item
-        except (TypeError, ValueError):
-            raise ParseError(f"branch must be a (label, children) pair: {item!r}")
-        if depth > MAX_DEPTH:
-            raise ParseError(f"tree nested too deeply (over {MAX_DEPTH} levels)")
-        branches.append((_parse_label(label_spec), _build(sub, depth + 1)))
-    return Tree(branches)
+    stack = [[None, iter(raw)]]     # per open level: label, items, branches
+    while True:
+        for item in stack[-1][1]:
+            try:
+                label_spec, sub = item
+            except (TypeError, ValueError):
+                raise ParseError(
+                    f"branch must be a (label, children) pair: {item!r}")
+            if len(stack) > MAX_DEPTH:
+                raise ParseError(
+                    f"tree nested too deeply (over {MAX_DEPTH} levels)")
+            stack.append([_parse_label(label_spec), iter(sub)])
+            break
+        else:
+            label, _, *branches = stack.pop()
+            if not stack:
+                return Tree(branches)
+            stack[-1].append((label, Tree(branches)))
 
 
 def _parse_label(spec):
@@ -200,6 +211,11 @@ def _parse_label(spec):
     if not is_prime(value):
         raise ParseError(f"label {spec!r} is not a prime")
     return Label(value, inverted)
+
+
+# text -> Label of each prime below 2^10, plain and inverted
+_SMALL_LABELS = {label.text: label for p in range(2, 1 << 10) if is_prime(p)
+                 for label in (Label(p), Label(p, True))}
 
 
 # --- canonical S-expression text form ------------------------------------
@@ -226,12 +242,16 @@ def to_sexpr(t):
     return "".join(out)
 
 
+def _tokenize(text):
+    return text.replace("(", " ( ").replace(")", " ) ").split()
+
+
 def parse_sexpr(text):
     """Parse the canonical S-expression form back into a Tree."""
-    tokens = iter(_TOKEN.findall(text))
+    tokens = iter(_tokenize(text))
     if next(tokens, None) != "(" or next(tokens, None) != "r":
         raise ParseError(f"expected '(r' at the start of {text!r}")
-    labels = {}         # token -> Label: each label text is checked once
+    labels = {}         # token -> Label: each larger label is checked once
     stack = [[None]]    # the root, then each open branch: label, branches
     for tok in tokens:
         if tok == "(":
@@ -241,7 +261,7 @@ def parse_sexpr(text):
             tok = next(tokens, None)
             if tok is None:
                 raise ParseError(f"unterminated branch in {text!r}")
-            label = labels.get(tok)
+            label = _SMALL_LABELS.get(tok) or labels.get(tok)
             if label is None:
                 label = labels[tok] = _parse_label(tok)
             stack.append([label])

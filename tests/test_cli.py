@@ -4,7 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from primeforest.cli import _forest_dot, run
+from primeforest.cli import _forest_dot, _print_cap, run
 from primeforest.generator import g_count
 from primeforest.tree_core import SINGLETON, Label, Tree
 
@@ -149,6 +149,12 @@ def test_rationals_count_stops_at_the_print_cap():
     assert code == 1
     assert len(out.splitlines()) == 101
     assert "cap" in err and "string conversion" not in err
+
+
+def test_print_cap_without_a_digit_limit(monkeypatch):
+    # Python before 3.10.7 has no int-to-str limit and no way to read one
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    assert _print_cap() is None
 
 
 def test_rationals_max_stage():

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from primeforest import codec
 from primeforest.codec import (
     OVER_BOUND,
     encode_integer,
@@ -177,3 +178,38 @@ def test_factor():
             prod *= p ** e
             last = p
         assert prod == m
+
+
+def _reference_encode(m):
+    # the table-free recursive encoder
+    if m == 1:
+        return SINGLETON
+    return Tree(tuple((Label(p), _reference_encode(e)) for p, e in factor(m)))
+
+
+def test_exponent_table_matches_the_reference():
+    table = codec._EXPONENT_TREES
+    assert len(table) == 128
+    for e in range(1, 128):
+        assert table[e] == _reference_encode(e)
+
+
+def test_large_exponents_take_the_recursive_fallback(monkeypatch):
+    calls = []
+
+    def spying_encode(m):
+        calls.append(m)
+        return encode_integer(m)
+
+    monkeypatch.setattr(codec, "encode_integer", spying_encode)
+    for m, large in ((2 ** 200, [200]), (3 ** 130 * 5, [130]),
+                     (2 ** 127 * 3 ** 127, [])):
+        calls.clear()
+        tree = encode_integer(m)
+        assert calls == large
+        assert tree == _reference_encode(m)
+        assert eval_integer_tree(parse_sexpr(to_sexpr(tree))) == m
+    calls.clear()
+    assert encode_rational(5, 2 ** 200) == Tree(
+        ((Label(5), SINGLETON), (Label(2, True), _reference_encode(200))))
+    assert calls == [200]

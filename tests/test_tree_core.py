@@ -1,7 +1,10 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primeforest import tree_core
 from primeforest.codec import encode_rational
@@ -257,6 +260,33 @@ def test_printing_a_tall_tree_needs_no_recursion():
     assert text == "(r" + " (2" * 5000 + ")" * 5001
 
 
+def test_tall_trees_need_no_recursion():
+    # built apart, so no walk can stop at a shared subtree
+    a, b = _chain(5000), _chain(5000)
+    c = Tree(((Label(2), _chain(4999)), (Label(3), SINGLETON)))
+    d = Tree(((Label(2), _chain(4999)), (Label(5), SINGLETON)))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert not a < b and a <= b and a >= b
+    assert c < d and c != d and a < c
+    assert sorted([d, c, b, _chain(4999)]) == [_chain(4999), a, c, d]
+    assert len({a, b, c, d}) == 3
+    assert (a.leaf_count(), a.max_prime()) == (1, 2)
+    assert (d.leaf_count(), d.max_prime()) == (2, 5)
+    assert (SINGLETON.leaf_count(), SINGLETON.max_prime()) == (1, 1)
+
+
+def test_an_inverse_behind_a_plain_label_below_the_root_is_refused():
+    mixed = encode_rational(7, 5)       # (r (7) (1/5)): the inverse sorts last
+    with pytest.raises(MisplacedInverse, match="below vertex 2$"):
+        Tree(((Label(2), mixed),))
+    with pytest.raises(MisplacedInverse, match="below vertex 3$"):
+        validate([(3, [(7, []), ("1/5", [])])])
+
+
+def test_tall_generated_forests_compare_equal():
+    assert g_forest(1, 2000) == g_forest(1, 2000)
+
+
 def _reference_sexpr(t):
     # the recursive printer that to_sexpr replaced
     return "(r" + "".join(" " + _reference_branch(b) for b in t.branches) + ")"
@@ -306,16 +336,36 @@ def test_parse_errors_name_the_fault(text, message):
 
 
 def test_parse_checks_each_label_text_once(monkeypatch):
+    # labels above 2^10, past the fixed table of small labels
     checked = []
 
     def counting_is_prime(n):
         checked.append(n)
-        return n in (2, 3)
+        return n in (1031, 1033)
 
     monkeypatch.setattr(tree_core, "is_prime", counting_is_prime)
-    t = parse_sexpr("(r (2 (2 (2)) (3 (2))) (1/3 (2)))")
-    assert to_sexpr(t) == "(r (2 (2 (2)) (3 (2))) (1/3 (2)))"
-    assert sorted(checked) == [2, 3, 3]
+    text = "(r (1031 (1031 (1031)) (1033 (1031))) (1/1033 (1031)))"
+    t = parse_sexpr(text)
+    assert to_sexpr(t) == text
+    assert sorted(checked) == [1031, 1033, 1033]
+
+
+def test_small_labels_are_the_checked_labels():
+    table = tree_core._SMALL_LABELS
+    assert len(table) == 2 * 172        # pi(1024) = 172 primes, two signs
+    for text, label in table.items():
+        assert tree_core._parse_label(text) == label
+        assert label.text == text and label.prime < 2 ** 10
+
+
+# the tokenizer that _tokenize replaced
+_TOKEN = re.compile(r"[()]|[^\s()]+")
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="()r 12/3\t\n\x1c\u3000x"))
+def test_tokenizer_matches_the_regex_reference(text):
+    assert tree_core._tokenize(text) == _TOKEN.findall(text)
 
 
 def _reference_fault(branches):
