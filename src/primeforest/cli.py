@@ -1,6 +1,7 @@
 """Command-line surface: encode, decode, forest, count, sieve, rationals,
 selftest.  Results go to stdout, diagnostics to stderr; exit codes are
-0 (ok), 1 (domain error), 2 (usage error)."""
+0 (ok), 1 (domain error), 2 (usage error).  forest streams its listing,
+printing each tree as the canonical enumerator yields it."""
 
 import argparse
 import itertools
@@ -8,7 +9,7 @@ import sys
 
 from . import codec, generator, rationals, sieve
 from .errors import DomainError, SizeOverBudget
-from .tree_core import parse_sexpr, to_sexpr
+from .tree_core import parse_sexpr, sexpr_lines, to_sexpr
 
 
 def _build_parser():
@@ -118,11 +119,12 @@ def _forest_dot(forest, out):
 def _cmd_forest(args, out):
     if args.count_only:
         return _cmd_count(args, out)
-    forest = generator.g_forest(args.labels, args.height)
+    # g_trees refuses an oversized forest before the first line is printed
+    trees = generator.g_trees(args.labels, args.height)
     if args.dot:
-        _forest_dot(forest, out)
+        _forest_dot(trees, out)
     else:
-        out.writelines(to_sexpr(tree) + "\n" for tree in forest)
+        out.writelines(line + "\n" for line in sexpr_lines(trees))
     return 0
 
 

@@ -78,7 +78,7 @@ def eval_rational_tree(t, cap=None):
 
 def encode_rational(num, den=1):
     """Tree for num/den (reduced internally); inverse of eval_rational_tree."""
-    if num == 0 or den == 0:
+    if num <= 0 or den <= 0:
         raise ZeroInput("only positive rationals have trees")
     g = gcd(num, den)
     num //= g

@@ -4,7 +4,8 @@ g_forest(n, h) lists, height by height in canonical order, the forest of
 all validly labeled trees over n labels with height at most h, which the
 paper builds by grafting and raising.  g_count predicts its size exactly,
 all_valid_trees_bruteforce re-derives the same set from subtrees of the
-complete n-ary tree; both refuse more than DEFAULT_CAP trees.
+complete n-ary tree; both refuse more than DEFAULT_CAP trees.  g_trees
+streams g_forest's listing, holding only the trees below height h.
 bounded_value_trees prunes by integer value instead of height: it walks
 products of prime powers depth first, as the sieve does, taking its
 exponent trees from the same walk at the bound's bit length.
@@ -60,6 +61,18 @@ def g_forest(n, h):
     for height in range(1, h + 1):
         trees += ordered_trees(labels, tuple(trees), height)
     return Forest(trees)
+
+
+def g_trees(n, h):
+    """Iterator over g_forest(n, h) in the same order, keeping only the
+    trees below height h.  A count over DEFAULT_CAP is refused here, before
+    the first tree is taken."""
+    g_count(n, h, DEFAULT_CAP)
+    if h == 0:
+        return iter(g_forest(n, 0))
+    lower = g_forest(n, h - 1)
+    labels = [Label(p) for p in map(prime_by_index, range(n))]
+    return itertools.chain(lower, ordered_trees(labels, lower.trees, h))
 
 
 def all_valid_trees_bruteforce(n, h):

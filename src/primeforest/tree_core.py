@@ -9,7 +9,8 @@ means "the k-th prime", does.  Labels of the primes below 2^10 come from
 a fixed table, checked once at import.
 
 Every walk here is iterative, and only codec._value recurses, so
-MAX_DEPTH guards parse and validate input only.
+MAX_DEPTH guards parse and validate input only.  sexpr_lines prints a
+streamed forest listing, each distinct root branch once.
 """
 
 import functools
@@ -173,7 +174,7 @@ def validate(raw):
     pair where label is a prime (an int) or its text form, "<prime>" or
     "1/<prime>".  Nesting deeper than MAX_DEPTH is refused.
     """
-    stack = [[None, iter(raw)]]     # per open level: label, items, branches
+    stack = [[None, _children(raw)]]  # per open level: label, items, branches
     while True:
         for item in stack[-1][1]:
             try:
@@ -184,13 +185,20 @@ def validate(raw):
             if len(stack) > MAX_DEPTH:
                 raise ParseError(
                     f"tree nested too deeply (over {MAX_DEPTH} levels)")
-            stack.append([_parse_label(label_spec), iter(sub)])
+            stack.append([_parse_label(label_spec), _children(sub)])
             break
         else:
             label, _, *branches = stack.pop()
             if not stack:
                 return Tree(branches)
             stack[-1].append((label, Tree(branches)))
+
+
+def _children(raw):
+    try:
+        return iter(raw)
+    except TypeError:
+        raise ParseError(f"children must be an iterable of branches: {raw!r}")
 
 
 def _parse_label(spec):
@@ -216,6 +224,8 @@ def _parse_label(spec):
 # text -> Label of each prime below 2^10, plain and inverted
 _SMALL_LABELS = {label.text: label for p in range(2, 1 << 10) if is_prime(p)
                  for label in (Label(p), Label(p, True))}
+# Label -> " (<label>", the opener to_sexpr prints for it
+_OPEN = {label: " (" + text for text, label in _SMALL_LABELS.items()}
 
 
 # --- canonical S-expression text form ------------------------------------
@@ -225,13 +235,11 @@ _SMALL_LABELS = {label.text: label for p in range(2, 1 << 10) if is_prime(p)
 # Example: integer 12 <-> "(r (2 (2)) (3))"
 
 def to_sexpr(t):
-    texts = {}          # label -> " (<label>", built once per call
     out = ["(r"]
     stack = [iter(t.branches)]
     while stack:
         for label, sub in stack[-1]:
-            out.append(texts.get(label)
-                       or texts.setdefault(label, " (" + label.text))
+            out.append(_OPEN.get(label) or " (" + label.text)
             if sub.branches:
                 stack.append(iter(sub.branches))
                 break
@@ -240,6 +248,21 @@ def to_sexpr(t):
             stack.pop()
             out.append(")")
     return "".join(out)
+
+
+def sexpr_lines(trees):
+    """Yield to_sexpr(t) for each tree, printing each distinct root branch
+    once per call: the trees of a forest listing share a few of them."""
+    texts = {}          # root branch -> " (<label> ...)"
+    for t in trees:
+        out = ["(r"]
+        for branch in t.branches:
+            text = texts.get(branch)
+            if text is None:
+                text = texts[branch] = to_sexpr(Tree((branch,)))[2:-1]
+            out.append(text)
+        out.append(")")
+        yield "".join(out)
 
 
 def _tokenize(text):

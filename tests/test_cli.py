@@ -1,7 +1,9 @@
 import hashlib
 import io
+import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 from primeforest.cli import _forest_dot, _print_cap, run
@@ -36,6 +38,13 @@ def test_encode_rational():
     code, out, _ = invoke("encode", "8/9")
     assert code == 0
     assert out == "(r (2 (3)) (1/3 (2)))\n"
+
+
+def test_encode_refuses_negative_rationals():
+    for value in ("-3/4", "3/-4", "-3"):
+        code, out, err = invoke("encode", "--", value)
+        assert (code, out) == (1, "")
+        assert "error:" in err
 
 
 def test_decode_integer():
@@ -74,6 +83,27 @@ def test_forest_count_only():
     code, out, _ = invoke("forest", "--labels", "3", "--height", "2",
                           "--count-only")
     assert (code, out) == (0, "729\n")
+
+
+def test_refused_forest_prints_nothing():
+    for dot in ((), ("--dot",)):
+        code, out, err = invoke("forest", "--labels", "5", "--height", "3",
+                                *dot)
+        assert (code, out) == (1, "")
+        assert "exceeds the cap" in err
+
+
+def test_forest_listing_holds_no_forest():
+    # the 83,521 trees cost about 18 MB when the listing kept them all
+    with open(os.devnull, "w") as sink:
+        tracemalloc.start()
+        try:
+            code = run(["forest", "--labels", "4", "--height", "2"], out=sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 * 2 ** 20
 
 
 def test_forest_dot():

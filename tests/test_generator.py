@@ -9,6 +9,7 @@ from primeforest.generator import (
     g_count,
     g_forest,
     g_stream_value_bounded,
+    g_trees,
 )
 from primeforest.tree_core import SINGLETON, label_tree, validate
 
@@ -89,6 +90,16 @@ def test_size_cap():
         g_forest(10, 5)
     with pytest.raises(SizeOverBudget):
         all_valid_trees_bruteforce(10, 5)
+    # refused by the call itself, before any tree is asked for, though
+    # the 83,521 trees below height 3 are under the cap
+    with pytest.raises(SizeOverBudget):
+        g_trees(4, 3)
+
+
+@pytest.mark.parametrize("n, h", [(0, 0), (0, 3), (3, 0), (1, 4), (2, 2),
+                                  (3, 2), (4, 2), (2, 3)])
+def test_g_trees_lists_g_forest_in_order(n, h):
+    assert list(g_trees(n, h)) == list(g_forest(n, h))
 
 
 def test_value_bounded_stream_examples():

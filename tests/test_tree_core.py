@@ -19,6 +19,7 @@ from primeforest.tree_core import (
     graft,
     label_tree,
     parse_sexpr,
+    sexpr_lines,
     singleton,
     to_sexpr,
     validate,
@@ -106,6 +107,12 @@ def test_inverted_allowed_at_depth_one():
                            ("(r (2) (3))", False), ("(r)", False)):
         assert parse_sexpr(text).has_inverted is inverted, text
     assert validate([("1/2", []), (3, [])]).has_inverted
+
+
+def test_validate_refuses_children_that_are_not_branches():
+    for raw in ([(2, 5)], [(2, [(3, None)])], 5):
+        with pytest.raises(ParseError, match="iterable of branches"):
+            validate(raw)
 
 
 def test_validate_refuses_deep_nesting():
@@ -285,6 +292,22 @@ def test_an_inverse_behind_a_plain_label_below_the_root_is_refused():
 
 def test_tall_generated_forests_compare_equal():
     assert g_forest(1, 2000) == g_forest(1, 2000)
+
+
+def test_sexpr_lines_print_as_to_sexpr(rng):
+    big = (1031, 1033, 1039, 1049)      # primes past the table's 2^10
+    cases = [
+        list(g_forest(4, 2)),
+        list(itertools.islice(rational_tree_stream(), 11_000)),
+        [_chain(5000), SINGLETON, _chain(5000)],
+        [encode_rational(rng.randint(1, 3000), rng.randint(1, 3000))
+         for _ in range(300)]
+        + [validate([(big[0], [(big[1], [])]), (f"1/{big[2]}", [])]),
+           validate([(big[3], [(2, [(big[0], [])])])]),
+           validate([(f"1/{big[3]}", [])]), validate([(big[3], [])])],
+    ]
+    for trees in cases:
+        assert list(sexpr_lines(trees)) == [to_sexpr(t) for t in trees]
 
 
 def _reference_sexpr(t):
