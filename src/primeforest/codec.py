@@ -59,10 +59,7 @@ def eval_rational_tree(t, cap=None):
     num = den = 1
     for label, sub in t.branches:
         p = label.prime
-        # p >= 2**(bit_length - 1), so p**e <= cap needs
-        # e * (bit_length - 1) < cap.bit_length()
-        e = _value(sub, None if cap is None
-                   else cap.bit_length() // (p.bit_length() - 1))
+        e = _value(sub, None if cap is None else _max_exponent(cap, p))
         if e is OVER_BOUND:
             raise _past_cap(cap)
         if label.inverted:
@@ -102,14 +99,11 @@ def _approx(n):
     return str(n) if digits <= 30 else f"~10^{digits - 1}"
 
 
-def ilog(n, base):
-    """Largest e >= 0 with base**e <= n (n >= 1, base >= 2)."""
-    e = 0
-    acc = base
-    while acc <= n:
-        e += 1
-        acc *= base
-    return e
+def _max_exponent(bound, base):
+    """An upper bound on the largest e with base**e <= bound (base >= 2),
+    exact for base 2, and negative for bound 0: base >= 2**(k - 1) for k
+    = base.bit_length(), and bound < 2**bound.bit_length()."""
+    return (bound.bit_length() - 1) // (base.bit_length() - 1)
 
 
 def eval_bounded(t, bound):
@@ -131,7 +125,7 @@ def _value(t, bound=None):
     value = 1
     for label, sub in t.branches:
         p = label.prime
-        e = _value(sub, None if bound is None else ilog(bound, p))
+        e = _value(sub, None if bound is None else _max_exponent(bound, p))
         if e is OVER_BOUND:
             return OVER_BOUND
         value *= p ** e

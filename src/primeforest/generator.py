@@ -4,8 +4,9 @@ g_forest(n, h) lists, height by height in canonical order, the forest of
 all validly labeled trees over n labels with height at most h, which the
 paper builds by grafting and raising.  g_count predicts its size exactly,
 all_valid_trees_bruteforce re-derives the same set from subtrees of the
-complete n-ary tree; both refuse more than DEFAULT_CAP trees.  g_trees
-streams g_forest's listing, holding only the trees below height h.
+complete n-ary tree; both refuse more than DEFAULT_CAP trees, and
+g_forest as much enumeration work.  g_trees streams g_forest's listing,
+holding only the trees below height h.
 bounded_value_trees prunes by integer value instead of height: it walks
 products of prime powers depth first, as the sieve does, taking its
 exponent trees from the same walk at the bound's bit length.
@@ -13,7 +14,7 @@ exponent trees from the same walk at the bound's bit length.
 
 import itertools
 
-from .codec import _approx
+from .codec import _approx, _max_exponent
 from .errors import SizeOverBudget
 from .forest_algebra import Forest, ordered_trees
 from .primes import prime_by_index
@@ -28,11 +29,15 @@ def g_count(n, h, cap=None):
     S_0 = 1, S_i = (1 + S_{i-1})^n; exact big-integer arithmetic.  Given a
     cap, a count above it raises SizeOverBudget, and each step's bit
     length is bounded before its power is taken, so no count far above
-    the cap is ever built.
+    the cap is ever built.  For n <= 1, S_h = (1 + h)^n, so no step is
+    taken.
     """
+    what = f"g_count({n}, {h})"
+    if n <= 1 and h:
+        return _capped_power(1 + h, n, cap, what)
     s = 1
     for _ in range(h):
-        s = _capped_power(1 + s, n, cap, f"g_count({n}, {h})")
+        s = _capped_power(1 + s, n, cap, what)
     return s
 
 
@@ -42,8 +47,7 @@ def _capped_power(base, n, cap, what):
     is refused before it is built."""
     if cap is None:
         return base ** n
-    # base >= 2**(bit_length - 1), so base**n >= 2**cap.bit_length() > cap
-    if (base.bit_length() - 1) * n >= cap.bit_length():
+    if n > _max_exponent(cap, base):
         raise SizeOverBudget(f"{what} exceeds the cap {_approx(cap)}",
                              cap=cap)
     s = base ** n
@@ -53,21 +57,36 @@ def _capped_power(base, n, cap, what):
     return s
 
 
+def _check_listing(n, h):
+    """Refuse, before any tree is built, a listing of g_forest(n, h) with
+    more than DEFAULT_CAP trees or enumeration work: height k + 1 pairs
+    each of the n labels with each of the g_count(n, k) trees below it."""
+    g_count(n, h, DEFAULT_CAP)
+    work = 0
+    for k in range(h if n else 0):
+        work += n * g_count(n, k)
+        if work > DEFAULT_CAP:
+            raise SizeOverBudget(
+                f"listing g_forest({n}, {h}) takes more than {DEFAULT_CAP} "
+                f"steps", requested=work, cap=DEFAULT_CAP)
+
+
 def g_forest(n, h):
     """The forest of all validly labeled trees over n labels, height <= h."""
-    g_count(n, h, DEFAULT_CAP)
+    _check_listing(n, h)
     labels = [Label(p) for p in map(prime_by_index, range(n))]
     trees = [SINGLETON]
-    for height in range(1, h + 1):
+    # with no labels, no height adds a tree to the singleton
+    for height in range(1, h + 1 if n else 1):
         trees += ordered_trees(labels, tuple(trees), height)
     return Forest(trees)
 
 
 def g_trees(n, h):
     """Iterator over g_forest(n, h) in the same order, keeping only the
-    trees below height h.  A count over DEFAULT_CAP is refused here, before
-    the first tree is taken."""
-    g_count(n, h, DEFAULT_CAP)
+    trees below height h.  A listing over DEFAULT_CAP is refused here,
+    before the first tree is taken."""
+    _check_listing(n, h)
     if h == 0:
         return iter(g_forest(n, 0))
     lower = g_forest(n, h - 1)
@@ -123,9 +142,8 @@ def bounded_value_trees(prime_indices, bound):
 def _bounded_value_trees(labels, bound):
     if bound < 1:
         return []
-    # p**e <= bound with p >= 2 needs e <= bound.bit_length() - 1; ascending
-    # values, so the walk can stop at the first power past the bound
-    exponents = sorted(_bounded_value_trees(labels, bound.bit_length() - 1))
+    # ascending values, so the walk can stop at the first power past the bound
+    exponents = sorted(_bounded_value_trees(labels, _max_exponent(bound, 2)))
     out = [(1, SINGLETON)]
 
     def walk(v, i, branches):

@@ -19,9 +19,13 @@ from .generator import DEFAULT_CAP, _capped_power, g_count, g_forest
 from .primes import prime_by_index, prime_index_of
 from .tree_core import SINGLETON, Label, label_tree
 
-# stage_trees takes the enumerator's trees this many at a time: resuming
-# its recursive generators costs more per tree than reading a list, and
-# stage 3's height-3 block (about 3 * 10^9 trees) can never be a list.
+# stage_trees takes the enumerator's trees this many at a time, with a new
+# batch at every height, for per-item latency rather than throughput: one
+# item per batch does the enumerator's work, the rest are list reads.  In
+# the stream bench (Python 3.11, 2 vCPU) p50 is about 2.5 against 8.6 us
+# unbatched and p99 7.4 against 33 us, at the same items/s.  Batches that
+# ran across heights cost about 15% at 11,000 items.  Stage 3's height-3
+# block (about 3 * 10^9 trees) can never be a list.
 _BATCH = 4096
 
 

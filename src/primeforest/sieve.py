@@ -18,7 +18,7 @@ faster.
 
 from bisect import bisect_right
 
-from .codec import OVER_BOUND, encode_integer, eval_bounded
+from .codec import OVER_BOUND, _max_exponent, encode_integer, eval_bounded
 from .errors import DomainError, NotPrime, SizeOverBudget
 from .forest_algebra import Forest, UNIT_FOREST, graft_forests, raise_forest
 from .generator import DEFAULT_CAP, bounded_value_trees
@@ -84,9 +84,8 @@ def _composite_flags(q):
     """
     primes = primes_upto(q)
     limit = 2 * q
-    # an exponent is at most limit.bit_length(), and no prime above that
-    # can divide it
-    bits = limit.bit_length()
+    # no exponent passes bits, nor has a prime factor above it
+    bits = _max_exponent(limit, 2)
     exponents = sorted(e for e, _ in bounded_value_trees(
         range(bisect_right(primes, bits)), bits) if e >= 1)
     flags = bytearray(limit + 1)

@@ -204,10 +204,12 @@ def _children(raw):
 def _parse_label(spec):
     inverted = False
     if isinstance(spec, str):
-        text = spec.strip()
-        if text.startswith("1/"):
-            inverted = True
-            text = text[2:]
+        inverted = spec.startswith("1/")
+        text = spec[2:] if inverted else spec
+        # the grammar's decimal: ASCII digits, no sign, "_" or leading
+        # zero, and short enough for int()
+        if not (text.isascii() and text.isdigit()) or text.startswith("0"):
+            raise ParseError(f"bad label {spec!r}")
         try:
             value = int(text)
         except ValueError:

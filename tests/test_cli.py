@@ -313,6 +313,23 @@ def test_count_refuses_counts_too_long_to_print():
     assert (code, out) == (0, f"{g_count(2, 12)}\n")
 
 
+def test_one_label_or_none_answers_at_any_height():
+    code, out, err = run_cli("count", "--labels", "0", "--height",
+                             "100000000", timeout=5)
+    assert (code, out) == (0, "1\n"), err
+    code, out, err = run_cli("count", "--labels", "1", "--height",
+                             "100000000", timeout=5)
+    assert (code, out) == (0, "100000001\n"), err
+    code, out, err = run_cli("forest", "--labels", "0", "--height",
+                             "10000000", timeout=5)
+    assert (code, out) == (0, "(r)\n"), err
+    for height in ("20000", "9999999"):
+        code, out, err = run_cli("forest", "--labels", "1", "--height",
+                                 height, timeout=5)
+        assert (code, out) == (1, "")
+        assert "steps" in err and "Traceback" not in err
+
+
 def test_selftest_under_optimize():
     code, out, err = run_cli("selftest", flags=("-O",), timeout=60)
     assert code == 0, out + err

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primeforest import codec
 from primeforest.codec import (
@@ -117,6 +119,18 @@ def test_rational_roundtrip():
 def test_eval_bounded_agrees_below_bound():
     for m in range(1, 500):
         assert eval_bounded(encode_integer(m), 1000) == m
+    # both sides of the bound, for values of one prime power and of towers
+    for m in list(range(1, 300)) + [512, 2 ** 16, 3 ** 8, 5 ** 27, 2 ** 81,
+                                    6 ** 25, 10 ** 30]:
+        t = encode_integer(m)
+        assert eval_bounded(t, m - 1) is OVER_BOUND
+        assert eval_bounded(t, m) == m
+        assert eval_bounded(t, m + 1) == m
+        for cap in (m, m + 1):
+            assert eval_rational_tree(t, cap) == m
+        if m > 1:
+            with pytest.raises(SizeOverBudget):
+                eval_rational_tree(t, m - 1)
 
 
 def test_eval_bounded_overbound():
@@ -132,6 +146,24 @@ def test_eval_bounded_short_circuits_towers():
     for _ in range(50):  # 2^2^...^2, fifty levels
         tower = Tree(((Label(2), tower),))
     assert eval_bounded(tower, 10 ** 9) is OVER_BOUND
+    # 5,000 levels, deeper than the recursion limit: a bounded walk gives
+    # up within a few levels of the root
+    for _ in range(4950):
+        tower = Tree(((Label(2), tower),))
+    assert tower.height == 5000
+    assert eval_bounded(tower, 10 ** 9) is OVER_BOUND
+    with pytest.raises(SizeOverBudget):
+        eval_rational_tree(tower, cap=10 ** 4300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 300), st.one_of(st.just(2), st.integers(3, 2 ** 70)))
+def test_max_exponent_bounds_every_power(bound, base):
+    e = codec._max_exponent(bound, base)
+    assert base ** (e + 1) > bound
+    assert (e >= 0) if bound else (e < 0)
+    if base == 2 and bound:
+        assert 2 ** e <= bound      # the exact exponent
 
 
 def test_roundtrip_past_the_prime_table():

@@ -4,6 +4,7 @@ from primeforest.codec import eval_integer_tree
 from primeforest.errors import SizeOverBudget
 from primeforest.forest_algebra import Forest, graft_forests, raise_forest
 from primeforest.generator import (
+    DEFAULT_CAP,
     all_valid_trees_bruteforce,
     bounded_value_trees,
     g_count,
@@ -21,6 +22,38 @@ def test_g_count_values():
     assert g_count(3, 1) == 8
     assert g_count(3, 2) == 729
     assert g_count(5, 0) == 1
+
+
+def test_g_count_takes_no_steps_for_at_most_one_label():
+    # S_h = (1 + h)^n; the recurrence would take h steps
+    assert g_count(0, 10 ** 12) == 1
+    assert g_count(1, 10 ** 12) == 10 ** 12 + 1
+    assert g_count(1, 10 ** 7 - 1, DEFAULT_CAP) == DEFAULT_CAP
+    with pytest.raises(SizeOverBudget) as info:
+        g_count(1, 10 ** 12, DEFAULT_CAP)
+    assert info.value.cap == DEFAULT_CAP
+    with pytest.raises(SizeOverBudget) as info:
+        g_count(1, DEFAULT_CAP, DEFAULT_CAP)
+    assert (info.value.requested, info.value.cap) \
+        == (DEFAULT_CAP + 1, DEFAULT_CAP)
+
+
+def test_listing_stops_at_the_first_empty_height():
+    for h in (1, 2, 10 ** 7 - 1):
+        assert list(g_forest(0, h)) == [SINGLETON]
+        assert list(g_trees(0, h)) == [SINGLETON]
+
+
+def test_listing_work_budget():
+    # height k + 1 pairs the one label with each of the k + 1 trees below:
+    # sum_{k < h} (k + 1) = h (h + 1) / 2 steps
+    assert len(g_forest(1, 300)) == 301
+    for h in (4472, 20000, 10 ** 7 - 1):
+        for listing in (g_forest, g_trees):
+            with pytest.raises(SizeOverBudget, match="steps") as info:
+                listing(1, h)
+            assert info.value.cap == DEFAULT_CAP
+            assert info.value.requested == 4472 * 4473 // 2
 
 
 def test_g_forest_small():

@@ -83,6 +83,10 @@ def test_validate_rejects_non_prime_labels():
     for label in (4, 1, 0, -3, 2.0, True, None, "2.0", "1/4"):
         with pytest.raises(ParseError):
             validate([(label, [])])
+    # text labels follow the S-expression grammar
+    for label in ("2_3", "+2", "02", "1/02", " 2", "\u0663"):
+        with pytest.raises(ParseError, match="bad label"):
+            validate([(label, [])])
     # labels are checked by Miller-Rabin, with no prime table lookup
     assert to_sexpr(validate([(10 ** 12 + 39, [(2, [])])])) \
         == "(r (1000000000039 (2)))"
@@ -352,6 +356,15 @@ def test_printer_and_parser_match_the_recursive_reference(rng):
     ("(r (1/x))", "bad label '1/x'"),
     ("(r (4))", "label '4' is not a prime"),
     ("(r (1/1))", "label '1/1' is not a prime"),
+    # the label grammar is ASCII digits with no sign, "_" or leading zero
+    ("(r (2_3))", "bad label '2_3'"),
+    ("(r (+2))", r"bad label '\+2'"),
+    ("(r (-2))", "bad label '-2'"),
+    ("(r (02))", "bad label '02'"),
+    ("(r (1/03))", "bad label '1/03'"),
+    ("(r (\u0663))", "bad label '\u0663'"),
+    ("(r (1/))", "bad label '1/'"),
+    ("(r (" + "1" * 5000 + "))", "bad label '1111"),
 ])
 def test_parse_errors_name_the_fault(text, message):
     with pytest.raises(ParseError, match=message):
