@@ -4,9 +4,9 @@ g_forest(n, h) lists, height by height in canonical order, the forest of
 all validly labeled trees over n labels with height at most h, which the
 paper builds by grafting and raising.  g_count predicts its size exactly,
 all_valid_trees_bruteforce re-derives the same set from subtrees of the
-complete n-ary tree; both refuse more than DEFAULT_CAP trees, and
-g_forest as much enumeration work.  g_trees streams g_forest's listing,
-holding only the trees below height h.
+complete n-ary tree; both refuse more than DEFAULT_CAP trees or as much
+enumeration work.  g_trees streams g_forest's listing, holding only the
+trees below height h.
 bounded_value_trees prunes by integer value instead of height: it walks
 products of prime powers depth first, as the sieve does, taking its
 exponent trees from the same walk at the bound's bit length.
@@ -97,25 +97,27 @@ def g_trees(n, h):
 def all_valid_trees_bruteforce(n, h):
     """Independent enumeration via rooted subtrees of the complete n-ary tree.
 
-    Each of the n child slots of a vertex is either absent or carries,
-    recursively, any subtree of the next level down; slot k maps to
-    label k.
+    Each of the n child slots of a vertex is either absent or carries any
+    subtree of the level below; slot k maps to label k.  Levels are built
+    bottom up, under g_forest's listing budget.
     """
-    g_count(n, h, DEFAULT_CAP)
-    return Forest(_subtrees(n, h))
-
-
-def _subtrees(n, h):
-    if h == 0:
-        return [SINGLETON]
+    _check_listing(n, h)
     labels = [Label(prime_by_index(k)) for k in range(n)]
-    options = [None] + _subtrees(n, h - 1)
-    out = []
-    for combo in itertools.product(options, repeat=n):
-        branches = tuple((label, sub)
-                         for label, sub in zip(labels, combo) if sub is not None)
-        out.append(Tree(branches))
-    return out
+    # branches -> tree: each distinct tree is built once, so a level holds
+    # no copies of the trees below it and memory stays within the forest
+    known = {}
+    level = [SINGLETON]
+    for _ in range(h):
+        options = [None] + level
+        level = []
+        for combo in itertools.product(options, repeat=n):
+            branches = tuple((label, sub) for label, sub in zip(labels, combo)
+                             if sub is not None)
+            t = known.get(branches)
+            if t is None:
+                t = known[branches] = Tree(branches)
+            level.append(t)
+    return Forest(level)
 
 
 def g_stream_value_bounded(prime_indices, bound):

@@ -1,11 +1,12 @@
 """Canonical prime-labeled rooted trees.
 
 A tree is a tuple of (Label, subtree) branches hanging from an implicit,
-unlabeled root.  Construction canonicalizes branch order and rejects any
-labeling a valid tree cannot carry, so structural equality is semantic
-equality.  A Label carries its prime itself, so building, printing and
-evaluating a tree never consult the prime table; only label_tree, which
-means "the k-th prime", does.  Labels of the primes below 2^10 come from
+unlabeled root.  Construction checks in one pass that the branches come in
+canonical order, sorts only input that does not, and rejects any labeling
+a valid tree cannot carry, so structural equality is semantic equality.
+A Label carries its prime itself, so building, printing and evaluating a
+tree never consult the prime table; only label_tree, which means "the
+k-th prime", does.  Labels of the primes below 2^10 come from
 a fixed table, checked once at import.
 
 Every walk here is iterative, and only codec._value recurses, so
@@ -45,24 +46,44 @@ class Label(NamedTuple):
 
 @functools.total_ordering
 class Tree:
-    """Immutable rooted tree with canonically ordered, distinct-labeled branches."""
+    """Immutable rooted tree with canonically ordered, distinct-labeled branches.
+
+    The constructor checks the branch order in one pass and sorts only
+    out-of-order input; either way it checks every label.
+    """
 
     __slots__ = ("branches", "height", "_hash")
 
     def __init__(self, branches=()):
         branches = tuple(branches)
-        repeats = False
+        seen = None         # the primes so far, kept only where one can repeat
         if len(branches) > 1:
-            branches = tuple(sorted(branches, key=_branch_rank))
-            repeats = len({label.prime for label, _ in branches}) < len(branches)
-            seen = set()
+            # callers mostly pass canonical order already: check in one
+            # pass that (inverted, prime) strictly ascends, and sort only
+            # input where it does not
+            label = branches[0][0]
+            inverted, prime = label.inverted, label.prime
+            for label, _ in branches[1:]:
+                if label.inverted == inverted:
+                    if label.prime > prime:
+                        prime = label.prime
+                        continue
+                elif inverted < label.inverted:
+                    inverted, prime = label.inverted, label.prime
+                    continue
+                branches = tuple(sorted(branches, key=_branch_rank))
+                seen = set()
+                break
+            else:
+                # in strict order a prime repeats only under both signs: a
+                # plain and an inverted branch, which would evaluate to an
+                # unreduced rational
+                if inverted != branches[0][0].inverted:
+                    seen = set()
         height = 0
         for label, sub in branches:
-            if repeats:
+            if seen is not None:
                 if label.prime in seen:
-                    # also refused: one prime heading both a plain and an
-                    # inverted branch, which would evaluate to an unreduced
-                    # rational
                     raise SiblingCollision(
                         f"sibling labels repeat the prime {label.prime}")
                 seen.add(label.prime)
@@ -71,9 +92,9 @@ class Tree:
                     f"inverted label below vertex {label.text}")
             if sub.height >= height:
                 height = sub.height + 1
-        object.__setattr__(self, "branches", branches)
-        object.__setattr__(self, "height", height)
-        object.__setattr__(self, "_hash", hash(branches))
+        _SET_BRANCHES(self, branches)
+        _SET_HEIGHT(self, height)
+        _SET_HASH(self, hash(branches))
 
     def __setattr__(self, name, value):
         raise AttributeError("Tree is immutable")
@@ -117,6 +138,12 @@ class Tree:
 
     def __repr__(self):
         return f"Tree({to_sexpr(self)!r})"
+
+
+# each slot's own descriptor stores it, past the refusing __setattr__
+_SET_BRANCHES = Tree.branches.__set__
+_SET_HEIGHT = Tree.height.__set__
+_SET_HASH = Tree._hash.__set__
 
 
 def _branch_rank(branch):

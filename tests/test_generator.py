@@ -49,7 +49,7 @@ def test_listing_work_budget():
     # sum_{k < h} (k + 1) = h (h + 1) / 2 steps
     assert len(g_forest(1, 300)) == 301
     for h in (4472, 20000, 10 ** 7 - 1):
-        for listing in (g_forest, g_trees):
+        for listing in (g_forest, g_trees, all_valid_trees_bruteforce):
             with pytest.raises(SizeOverBudget, match="steps") as info:
                 listing(1, h)
             assert info.value.cap == DEFAULT_CAP
@@ -108,6 +108,12 @@ def test_g_forest_matches_graft_raise_recurrence():
 
 def test_bruteforce_single_label():
     assert len(all_valid_trees_bruteforce(1, 4)) == 5
+
+
+def test_bruteforce_past_the_recursion_limit():
+    # built level by level, so height is bounded by the budget alone
+    assert all_valid_trees_bruteforce(1, 1200) == g_forest(1, 1200)
+    assert list(all_valid_trees_bruteforce(0, 2000)) == [SINGLETON]
 
 
 def test_g_forest_monotone_strict():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primeforest import tree_core
-from primeforest.codec import encode_rational
+from primeforest.codec import encode_integer, encode_rational
 from primeforest.errors import MisplacedInverse, ParseError, SiblingCollision
 from primeforest.generator import g_forest
 from primeforest.rationals import rational_tree_stream
@@ -443,3 +443,65 @@ def test_construction_faults_match_the_reference(rng):
     with pytest.raises(SiblingCollision):
         Tree([(Label(2), SINGLETON), (Label(3), SINGLETON),
               (Label(2, True), inverted_below)])
+
+
+def test_every_branch_order_builds_the_sorted_tree(rng):
+    # Tree checks the order of canonical input and sorts only the rest;
+    # every permutation must agree with the sorted list, tree or fault
+    inverted_below = Tree(((Label(5, True), SINGLETON),))
+    subs = [SINGLETON, label_tree(0), encode_rational(4), inverted_below]
+    # 1 is a truthy sign: Label is an unchecked record
+    labels = [Label(p, sign) for p in (2, 3, 5) for sign in (False, True, 1)]
+    seen = set()
+    for _ in range(600):
+        branches = [(rng.choice(labels), rng.choice(subs))
+                    for _ in range(rng.randint(0, 4))]
+        ordered = tuple(sorted(branches, key=lambda b: b[0].sort_rank))
+        expected = _reference_fault(ordered)
+        signs = {(label.prime, bool(label.inverted)) for label, _ in ordered}
+        if len(set(ordered)) < len(ordered):
+            seen.add("repeated label")
+        elif len({p for p, _ in signs}) < len(signs):
+            seen.add("both signs of one prime")
+        if expected is None:
+            want = Tree(ordered)
+            assert want.branches is ordered
+            if any(type(label.inverted) is int for label, _ in ordered):
+                seen.add("truthy sign")
+        else:
+            seen.add(expected[0].__name__)
+        for perm in set(itertools.permutations(branches)):
+            if expected is None:
+                got = Tree(perm)
+                assert got.branches == want.branches
+                assert (got.height, hash(got)) == (want.height, hash(want))
+                if perm and perm[0][0].inverted and not perm[-1][0].inverted:
+                    seen.add("inverted before plain")
+            else:
+                # branches of equal rank keep their input order, so which
+                # fault comes first may depend on the permutation
+                fault = _reference_fault(perm)
+                with pytest.raises(fault[0]) as info:
+                    Tree(perm)
+                assert str(info.value) == fault[1]
+    assert seen == {"repeated label", "both signs of one prime", "truthy sign",
+                    "inverted before plain", "SiblingCollision",
+                    "MisplacedInverse"}
+
+
+def test_canonical_input_is_never_sorted(monkeypatch):
+    # the enumerator, the encoders and the parser all hand Tree branches in
+    # canonical order; re-sorting them is the cost Tree's order check saves
+    def refuse(*args, **kwargs):
+        raise AssertionError("Tree sorted its branches")
+
+    monkeypatch.setattr(tree_core, "sorted", refuse, raising=False)
+    assert len(list(sexpr_lines(g_forest(3, 2)))) == 729
+    for m in range(1, 2001):
+        encode_integer(m)
+    for p in range(1, 60):
+        for q in range(1, 60):
+            t = encode_rational(p, q)
+            assert parse_sexpr(to_sexpr(t)) == t
+    with pytest.raises(AssertionError, match="sorted its branches"):
+        Tree([(Label(3), SINGLETON), (Label(2), SINGLETON)])
