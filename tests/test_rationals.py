@@ -23,9 +23,12 @@ from primeforest.rationals import (
     rational_tree_stream,
     stage_trees,
 )
+from primeforest import rationals
 from primeforest.errors import SizeOverBudget
+from primeforest.forest_algebra import ordered_trees
+from primeforest.generator import g_forest
 from primeforest.primes import prime_by_index
-from primeforest.tree_core import SINGLETON, to_sexpr
+from primeforest.tree_core import SINGLETON, Label, to_sexpr
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -117,6 +120,38 @@ def test_stage_three_below_height_three():
     expected = sorted(t for t in h_forest(1, 3) if minimal_stage(t) == 3)
     assert len(expected) == 4_832
     assert low == expected
+
+
+def test_stage_three_height_three_prefix():
+    # stage 3's height-3 block, which no other test reaches: its subtrees
+    # come from g_forest(3, 2), so a 5 two levels down makes a tree new
+    labels = [Label(p, inverted) for inverted in (False, True)
+              for p in (2, 3, 5)]
+    expected = (t for t in ordered_trees(labels, g_forest(3, 2), 3)
+                if minimal_stage(t) == 3)
+    got = itertools.dropwhile(lambda t: t.height <= 2, stage_trees(3))
+    assert (list(itertools.islice(got, 20_000))
+            == list(itertools.islice(expected, 20_000)))
+
+
+def test_stage_zero_is_empty():
+    assert list(stage_trees(0)) == []
+
+
+def test_stream_calls_minimal_stage_per_subtree_not_per_tree(monkeypatch):
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return minimal_stage(t)
+
+    monkeypatch.setattr(rationals, "minimal_stage", counted)
+    stream = rational_tree_stream()
+    assert len(list(itertools.islice(stream, 11_000))) == 11_000
+    assert len(calls) <= 1_000
+    before = len(calls)
+    assert len(list(itertools.islice(stream, 89_000))) == 89_000
+    assert len(calls) == before
 
 
 def test_stream_golden_hash():
