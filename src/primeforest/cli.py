@@ -4,6 +4,7 @@ selftest.  Results go to stdout, diagnostics to stderr; exit codes are
 printing each tree as the canonical enumerator yields it."""
 
 import argparse
+import functools
 import itertools
 import sys
 
@@ -12,6 +13,7 @@ from .errors import DomainError, SizeOverBudget
 from .tree_core import parse_sexpr, sexpr_lines, to_sexpr
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="primeforest",
@@ -142,10 +144,9 @@ def _cmd_sieve(args, out):
     else:
         primes = sieve.combinatorial_sieve(args.q)
     if args.show_composites:
-        for value, tree in sieve.composites_in_window(args.q):
-            print(f"{value}\t{to_sexpr(tree)}", file=out)
-    for p in primes:
-        print(p, file=out)
+        out.writelines(f"{value}\t{to_sexpr(tree)}\n"
+                       for value, tree in sieve.composites_in_window(args.q))
+    out.writelines(f"{p}\n" for p in primes)
     return 0
 
 

@@ -4,12 +4,15 @@ All composites in (q, 2q] factor over primes <= q, and by the first
 bijection each is the value of exactly one tree over those labels.  So
 the sieve walks values, not trees: it marks, in a window up to 2q, every
 product of prime powers over the primes <= q, depth first, and reads the
-primes off as the midpoints of marked pairs at distance 2.  An exponent
-is itself a tree's value over the same labels, so the exponents come
-from bounded_value_trees.  Trees are built, by encode_integer, only for
-composites_in_window (`sieve --show-composites`).  The window is
-half-open at 2q: including the composite 2q as a closing sentinel lets
-the gap scan see a prime at 2q - 1.
+primes off as the midpoints of marked pairs at distance 2.  Each value
+is marked once: a value the walk goes on from is checked at once, and
+the leaves, the bulk of the marks, by one count of the flags at the end.
+An exponent is itself a tree's value over the same labels, so the
+exponents come from bounded_value_trees.  Trees are built, by
+encode_integer, only for composites_in_window
+(`sieve --show-composites`).  The window is half-open at 2q: including
+the composite 2q as a closing sentinel lets the gap scan see a prime at
+2q - 1.
 
 Both sieves refuse q above a fixed cap (SizeOverBudget): the window costs
 2q bytes and the walk about 2q steps, and the fixpoint form grows much
@@ -25,7 +28,7 @@ from .generator import DEFAULT_CAP, bounded_value_trees
 from .primes import is_prime, primes_upto
 from .tree_core import label_tree
 
-# q = 3,999,971 takes about 2.6 s and 44 MB peak RSS (Python 3.11, 2 vCPU)
+# `sieve 3999971` takes about 2 s and 44 MB peak RSS (Python 3.11, 2 vCPU)
 SIEVE_CAP = 4 * 10 ** 6
 # literal_fixpoint_sieve takes about 3 s at q = 211 and 19 s at q = 509
 FIDELITY_CAP = 211
@@ -80,7 +83,7 @@ def _composite_flags(q):
 
     Each value is reached once, as v times a prime power of a larger
     prime; a value reached twice would break the bijection and raises
-    DomainError.
+    DomainError, at once if the walk would go on from it.
     """
     primes = primes_upto(q)
     limit = 2 * q
@@ -89,30 +92,35 @@ def _composite_flags(q):
     exponents = sorted(e for e, _ in bounded_value_trees(
         range(bisect_right(primes, bits)), bits) if e >= 1)
     flags = bytearray(limit + 1)
-
-    def mark(w):
-        if flags[w]:
-            raise DomainError(f"the value {w} is reached twice")
-        flags[w] = 1
+    marks = 0
 
     def walk(v, i):
         # v times the prime powers of primes[i:], each times what follows
+        nonlocal marks
         for j in range(i, len(primes)):
             p = primes[j]
             if v * p * p > limit:
                 # no square of p fits, nor v * p times a larger prime: the
-                # rest are the leaves v * p
-                for r in primes[j:bisect_right(primes, limit // v)]:
-                    mark(v * r)
+                # rest are the leaves v * p, checked by the count below
+                leaves = primes[j:bisect_right(primes, limit // v)]
+                for r in leaves:
+                    flags[v * r] = 1
+                marks += len(leaves)
                 return
             for e in exponents:
                 w = v * p ** e
                 if w > limit:
                     break
-                mark(w)
+                if flags[w]:
+                    raise DomainError(f"the value {w} is reached twice")
+                flags[w] = 1
+                marks += 1
                 walk(w, j + 1)
 
     walk(1, 0)
+    # distinct marks set distinct flags, so a shortfall is a duplicate leaf
+    if flags.count(1) != marks:
+        raise DomainError("a leaf value is reached twice")
     return flags
 
 

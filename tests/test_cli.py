@@ -6,8 +6,10 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+from primeforest import cli
 from primeforest.cli import _forest_dot, _print_cap, run
 from primeforest.generator import g_count
+from primeforest.sieve import eratosthenes
 from primeforest.tree_core import SINGLETON, Label, Tree
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -117,6 +119,23 @@ def test_forest_dot():
 def test_sieve():
     code, out, _ = invoke("sieve", "7")
     assert (code, out) == (0, "11\n13\n")
+
+
+def test_sieve_prints_the_primes_above_q():
+    for q in (2, 3, 7, 1009, 30011):
+        expected = "".join(f"{p}\n" for p in eratosthenes(2 * q) if p > q)
+        assert invoke("sieve", str(q)) == (0, expected, ""), q
+
+
+def test_the_cached_parser_keeps_no_state():
+    # one parser serves every call in a process; each call still answers
+    # as a fresh interpreter does
+    argvs = (["sieve", "7", "--show-composites"], ["sieve", "7"],
+             ["sieve", "7", "--nonsense"], ["encode", "12"])
+    for argv in argvs:
+        code, out, _ = invoke(*argv)
+        assert (code, out) == run_cli(*argv)[:2], argv
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_sieve_show_composites():

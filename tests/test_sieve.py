@@ -101,6 +101,15 @@ def test_a_value_reached_twice_is_refused(monkeypatch):
         combinatorial_sieve(13)
 
 
+def test_a_leaf_reached_twice_is_refused(monkeypatch):
+    # a repeated largest prime reaches each v * 13 twice, only as a leaf,
+    # which the count of marks catches after the walk
+    monkeypatch.setattr(sieve, "primes_upto",
+                        lambda n: [2, 3, 5, 7, 11, 13, 13])
+    with pytest.raises(DomainError, match="reached twice"):
+        combinatorial_sieve(13)
+
+
 def test_composites_trees_evaluate_back():
     for q in (3, 5, 7, 11, 13, 17):
         for v, t in composites_in_window(q):
