@@ -32,7 +32,6 @@ from .generator import (
     all_valid_trees_bruteforce,
     g_count,
     g_forest,
-    g_stream_value_bounded,
 )
 from .primes import prime_by_index, prime_index_of
 from .rationals import (

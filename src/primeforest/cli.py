@@ -4,6 +4,7 @@ selftest.  Results go to stdout, diagnostics to stderr; exit codes are
 printing each tree as the canonical enumerator yields it."""
 
 import argparse
+import contextlib
 import functools
 import itertools
 import sys
@@ -85,11 +86,7 @@ def _format_value(value):
 
 
 def _cmd_encode(args, out):
-    num, den = _parse_rational(args.value)
-    if den == 1:
-        tree = codec.encode_integer(num)
-    else:
-        tree = codec.encode_rational(num, den)
+    tree = codec.encode_rational(*_parse_rational(args.value))
     print(to_sexpr(tree), file=out)
     return 0
 
@@ -242,7 +239,9 @@ def run(argv, out=None, err=None):
     err = err if err is not None else sys.stderr
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # usage errors and --help go to err and out, like every other line
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:

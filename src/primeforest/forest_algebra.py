@@ -73,13 +73,7 @@ def raise_forest(t, forest):
     """
     if t.is_singleton:
         return UNIT_FOREST
-    out = []
-    for member in forest:
-        if member.is_singleton:
-            out.append(t)
-        else:
-            out.append(_attach_at_leaves(t, member))
-    return Forest(out)
+    return Forest(_attach_at_leaves(t, member) for member in forest)
 
 
 def _attach_at_leaves(t, member):

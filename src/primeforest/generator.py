@@ -120,17 +120,6 @@ def all_valid_trees_bruteforce(n, h):
     return Forest(level)
 
 
-def g_stream_value_bounded(prime_indices, bound):
-    """Yield, in canonical order, every non-singleton tree over the given
-    prime labels whose integer evaluation is <= bound.
-
-    Sound pruning: attaching a branch or deepening an exponent multiplies
-    the evaluation by at least 2, so search is cut at the bound.
-    """
-    pairs = bounded_value_trees(prime_indices, bound)
-    yield from sorted(t for _, t in pairs if not t.is_singleton)
-
-
 def bounded_value_trees(prime_indices, bound):
     """All (value, tree) pairs with value <= bound over the given labels,
     singleton included.  Values are exactly the integers in [1, bound]

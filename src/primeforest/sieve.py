@@ -10,9 +10,9 @@ the leaves, the bulk of the marks, by one count of the flags at the end.
 An exponent is itself a tree's value over the same labels, so the
 exponents come from bounded_value_trees.  Trees are built, by
 encode_integer, only for composites_in_window
-(`sieve --show-composites`).  The window is half-open at 2q: including
-the composite 2q as a closing sentinel lets the gap scan see a prime at
-2q - 1.
+(`sieve --show-composites`).  The gap scan runs from q to 2q: both ends
+are marked (q = q^1, and the composite 2q), so it sees a prime at q + 1
+or 2q - 1.
 
 Both sieves refuse q above a fixed cap (SizeOverBudget): the window costs
 2q bytes and the walk about 2q steps, and the fixpoint form grows much
@@ -58,14 +58,8 @@ def composites_in_window(q):
 
 
 def combinatorial_sieve(q):
-    """Exactly the primes in the open interval (q, 2q).
-
-    q = 2 is special-cased: the window (2, 4] holds a single composite,
-    so no gap pair exists, yet 3 is prime.
-    """
+    """Exactly the primes in the open interval (q, 2q)."""
     _check_q(q, SIEVE_CAP)
-    if q == 2:
-        return [3]
     return _gap_midpoints(_composite_flags(q), q)
 
 
@@ -125,10 +119,11 @@ def _composite_flags(q):
 
 
 def _gap_midpoints(flags, q):
-    """The unflagged v with flagged neighbours v - 1 > q and v + 1 <= 2q:
-    the midpoints of window composites at distance 2."""
+    """The unflagged v with flagged neighbours v - 1 >= q and v + 1 <= 2q:
+    the midpoints of marked values at distance 2.  The scan may start at
+    q itself, since q = q^1 is a product over the primes <= q."""
     out = []
-    v = flags.find(0, q + 2, 2 * q)
+    v = flags.find(0, q + 1, 2 * q)
     while v != -1:
         if flags[v - 1] and flags[v + 1]:
             out.append(v)
@@ -146,8 +141,6 @@ def literal_fixpoint_sieve(q):
     Fidelity mode for q <= FIDELITY_CAP only.
     """
     _check_q(q, FIDELITY_CAP)
-    if q == 2:
-        return [3]
     limit = 2 * q
     n = len(primes_upto(q))
 

@@ -96,8 +96,6 @@ def test_criterion_4_sieve_oracle():
 def test_criterion_5_composite_gap_invariant():
     violations = 0
     for q in eratosthenes(101):
-        if q == 2:
-            continue
         values = [v for v, _ in composites_in_window(q)]
         violations += sum(1 for a, b in zip(values, values[1:]) if b - a > 2)
     assert violations == 0

@@ -6,6 +6,9 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from primeforest import cli
 from primeforest.cli import _forest_dot, _print_cap, run
 from primeforest.generator import g_count
@@ -225,6 +228,17 @@ def test_usage_errors():
     assert invoke("rationals", "--count", "-3")[:2] == (2, "")
 
 
+def test_usage_errors_and_help_go_to_the_given_streams(capsys):
+    code, out, err = invoke("sieve", "7", "--nonsense")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: primeforest")
+    assert "unrecognized arguments: --nonsense" in err
+    code, out, err = invoke("--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: primeforest")
+    assert capsys.readouterr() == ("", "")
+
+
 def test_domain_error_decode():
     code, _, err = invoke("decode", "(r (4))")
     assert code == 1
@@ -353,3 +367,54 @@ def test_selftest_under_optimize():
     code, out, err = run_cli("selftest", flags=("-O",), timeout=60)
     assert code == 0, out + err
     assert "FAIL" not in out
+
+
+def _small(top):
+    """A number argument up to top, mostly, or text that is not one."""
+    number = st.integers(-1, top).map(str)
+    return st.one_of(number, number,
+                     st.sampled_from(["", "x", "1.5", "0x1f", "1e3", "--"]))
+
+
+def _prime(top):
+    """A prime argument up to top, mostly, or any _small(top)."""
+    return st.one_of(st.sampled_from(eratosthenes(top)).map(str), _small(top))
+
+
+def _flags(*names):
+    return st.lists(st.sampled_from(names), max_size=2)
+
+
+_RATIONAL = st.one_of(
+    _small(10 ** 6),
+    st.builds("{}/{}".format, _small(10 ** 4), _small(10 ** 4)),
+    st.sampled_from(["2/", "/3", "1/2/3"]))
+_SEXPR = st.one_of(
+    st.text("r()1235/ ", max_size=16),
+    st.sampled_from(["(r)", "(r (2 (2)) (3))", "(r (1/2))", "(r (4))",
+                     "(r (3) (2))", "(r (2) (1/2))", "(r (2 (1/2)))"]))
+_ARGV = st.one_of(
+    st.builds(lambda v: ["encode", v], _RATIONAL),
+    st.builds(lambda t: ["decode", t], _SEXPR),
+    st.builds(lambda n, h: ["count", "--labels", n, "--height", h],
+              _small(3), _small(3)),
+    st.builds(lambda n, h, f: ["forest", "--labels", n, "--height", h, *f],
+              _small(3), _small(3), _flags("--count-only", "--dot")),
+    st.builds(lambda q, f: ["sieve", q, *f],
+              _prime(2000), _flags("--show-composites")),
+    st.builds(lambda q, f: ["sieve", q, "--fidelity", *f],
+              _prime(61), _flags("--show-composites")),
+    st.builds(lambda n, f: ["rationals", "--count", n, *f],
+              _small(50), st.one_of(st.just([]), _small(3).map(
+                  lambda s: ["--max-stage", s]))),
+    st.builds(lambda v: ["rationals", "--locate", v], _RATIONAL))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ARGV)
+def test_any_short_argv_answers_with_an_exit_code(argv):
+    # an answer, a domain error or a usage error; never a traceback
+    code, out, err = invoke(*argv)
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        assert out == "" and err.startswith("error: "), argv

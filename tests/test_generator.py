@@ -1,6 +1,6 @@
 import pytest
 
-from primeforest.codec import eval_integer_tree
+from primeforest.codec import encode_integer, eval_integer_tree
 from primeforest.errors import SizeOverBudget
 from primeforest.forest_algebra import Forest, graft_forests, raise_forest
 from primeforest.generator import (
@@ -9,7 +9,6 @@ from primeforest.generator import (
     bounded_value_trees,
     g_count,
     g_forest,
-    g_stream_value_bounded,
     g_trees,
 )
 from primeforest.tree_core import SINGLETON, label_tree, validate
@@ -142,12 +141,11 @@ def test_g_trees_lists_g_forest_in_order(n, h):
 
 
 def test_value_bounded_stream_examples():
-    assert [eval_integer_tree(t) for t in g_stream_value_bounded([0], 16)] \
-        == [2, 4, 16]
-    assert sorted(eval_integer_tree(t)
-                  for t in g_stream_value_bounded([0, 1], 10)) \
-        == [2, 3, 4, 6, 8, 9]
-    assert list(g_stream_value_bounded([], 1000)) == []
+    assert sorted(bounded_value_trees([0], 16)) \
+        == [(v, encode_integer(v)) for v in (1, 2, 4, 16)]
+    assert sorted(v for v, _ in bounded_value_trees([0, 1], 10)) \
+        == [1, 2, 3, 4, 6, 8, 9]
+    assert bounded_value_trees([], 1000) == [(1, SINGLETON)]
 
 
 def _smooth_values(primes, bound):
@@ -177,16 +175,7 @@ def test_value_bounded_stream_vs_integer_scan():
     cases = [([0], 600), ([0, 1], 400), ([0, 1, 2], 300), ([1, 3], 500)]
     for labels, bound in cases:
         primes = [prime_by_index(k) for k in labels]
-        got = sorted(eval_integer_tree(t)
-                     for t in g_stream_value_bounded(labels, bound))
-        assert got == _smooth_values(primes, bound)
         # each value once, paired with its own tree
         pairs = bounded_value_trees(labels, bound)
-        assert sorted(v for v, _ in pairs) == [1] + got
+        assert sorted(v for v, _ in pairs) == [1] + _smooth_values(primes, bound)
         assert all(eval_integer_tree(t) == v for v, t in pairs)
-
-
-def test_value_bounded_stream_canonical_order():
-    trees = list(g_stream_value_bounded([0, 1], 50))
-    assert trees == sorted(trees)
-    assert all(not t.is_singleton for t in trees)

@@ -118,14 +118,12 @@ def test_composites_trees_evaluate_back():
 
 def test_composite_gap_at_most_two():
     for q in eratosthenes(101):
-        if q == 2:
-            continue
         values = [v for v, _ in composites_in_window(q)]
         assert all(b - a <= 2 for a, b in zip(values, values[1:]))
 
 
 def test_literal_fixpoint_agrees():
-    for q in (3, 5, 7, 11, 13):
+    for q in (2, 3, 5, 7, 11, 13):
         assert literal_fixpoint_sieve(q) == combinatorial_sieve(q)
 
 
