@@ -11,7 +11,7 @@ import sys
 
 from . import codec, generator, rationals, sieve
 from .errors import DomainError, SizeOverBudget
-from .tree_core import parse_sexpr, sexpr_lines, to_sexpr
+from .tree_core import parse_sexpr, to_sexpr
 
 
 @functools.cache
@@ -123,7 +123,7 @@ def _cmd_forest(args, out):
     if args.dot:
         _forest_dot(trees, out)
     else:
-        out.writelines(line + "\n" for line in sexpr_lines(trees))
+        out.writelines(to_sexpr(t) + "\n" for t in trees)
     return 0
 
 

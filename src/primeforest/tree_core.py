@@ -10,8 +10,9 @@ k-th prime", does.  Labels of the primes below 2^10 come from
 a fixed table, checked once at import.
 
 Every walk here is iterative, and only codec._value recurses, so
-MAX_DEPTH guards parse and validate input only.  sexpr_lines prints a
-streamed forest listing, each distinct root branch once.
+MAX_DEPTH guards parse and validate input only.  Enumerated trees share
+subtrees, so to_sexpr keeps the text of each root branch's subtree on it,
+walked once; deeper subtrees keep none.
 """
 
 import functools
@@ -52,7 +53,8 @@ class Tree:
     out-of-order input; either way it checks every label.
     """
 
-    __slots__ = ("branches", "height", "_hash")
+    # _text is unset until to_sexpr keeps the tree's printed branches there
+    __slots__ = ("branches", "height", "_hash", "_text")
 
     def __init__(self, branches=()):
         branches = tuple(branches)
@@ -144,6 +146,7 @@ class Tree:
 _SET_BRANCHES = Tree.branches.__set__
 _SET_HEIGHT = Tree.height.__set__
 _SET_HASH = Tree._hash.__set__
+_SET_TEXT = Tree._text.__set__
 
 
 def _branch_rank(branch):
@@ -264,7 +267,27 @@ _OPEN = {label: " (" + text for text, label in _SMALL_LABELS.items()}
 # Example: integer 12 <-> "(r (2 (2)) (3))"
 
 def to_sexpr(t):
+    """The canonical text of t.  Each root branch's subtree keeps the text
+    of its own branches, such as " (2 (2)) (3)", from its first print on;
+    deeper subtrees keep none, so a tree keeps less text than its print
+    (O(d) characters for a chain of depth d, not O(d^2))."""
     out = ["(r"]
+    for label, sub in t.branches:
+        out.append(_OPEN.get(label) or " (" + label.text)
+        if sub.branches:
+            try:
+                out.append(sub._text)
+            except AttributeError:
+                out.append(_branches_text(sub))
+                _SET_TEXT(sub, out[-1])
+        out.append(")")
+    out.append(")")
+    return "".join(out)
+
+
+def _branches_text(t):
+    """The text of t's branches, walked afresh."""
+    out = []
     stack = [iter(t.branches)]
     while stack:
         for label, sub in stack[-1]:
@@ -276,22 +299,8 @@ def to_sexpr(t):
         else:           # every branch at this level is printed
             stack.pop()
             out.append(")")
+    out.pop()           # t itself has no closing parenthesis here
     return "".join(out)
-
-
-def sexpr_lines(trees):
-    """Yield to_sexpr(t) for each tree, printing each distinct root branch
-    once per call: the trees of a forest listing share a few of them."""
-    texts = {}          # root branch -> " (<label> ...)"
-    for t in trees:
-        out = ["(r"]
-        for branch in t.branches:
-            text = texts.get(branch)
-            if text is None:
-                text = texts[branch] = to_sexpr(Tree((branch,)))[2:-1]
-            out.append(text)
-        out.append(")")
-        yield "".join(out)
 
 
 def _tokenize(text):

@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,6 @@ from primeforest.tree_core import (
     graft,
     label_tree,
     parse_sexpr,
-    sexpr_lines,
     singleton,
     to_sexpr,
     validate,
@@ -298,8 +298,18 @@ def test_tall_generated_forests_compare_equal():
     assert g_forest(1, 2000) == g_forest(1, 2000)
 
 
-def test_sexpr_lines_print_as_to_sexpr(rng):
+def _forget_printed_text(trees):
+    # empties to_sexpr's memo on every subtree, shared ones included
+    for t in trees:
+        for _, sub in t._walk():
+            if hasattr(sub, "_text"):
+                Tree._text.__delete__(sub)
+
+
+def test_to_sexpr_prints_alike_with_its_memo_empty_and_filled(rng):
     big = (1031, 1033, 1039, 1049)      # primes past the table's 2^10
+    inner = validate([(big[1], [(2, [])]), (3, [(big[0], [])])])
+    chain_text = "(r" + " (2" * 5000 + ")" * 5001
     cases = [
         list(g_forest(4, 2)),
         list(itertools.islice(rational_tree_stream(), 11_000)),
@@ -309,9 +319,20 @@ def test_sexpr_lines_print_as_to_sexpr(rng):
         + [validate([(big[0], [(big[1], [])]), (f"1/{big[2]}", [])]),
            validate([(big[3], [(2, [(big[0], [])])])]),
            validate([(f"1/{big[3]}", [])]), validate([(big[3], [])])],
+        # a subtree printed first inside a larger tree, then on its own,
+        # then deeper down, then again under a root with an inverted label
+        [Tree(((Label(5), inner), (Label(big[2], True), SINGLETON))), inner,
+         Tree(((Label(2), Tree(((Label(7), inner),))),)),
+         Tree(((Label(2), inner), (Label(7, True), inner)))],
     ]
     for trees in cases:
-        assert list(sexpr_lines(trees)) == [to_sexpr(t) for t in trees]
+        expected = [chain_text if t.height == 5000 else _reference_sexpr(t)
+                    for t in trees]
+        _forget_printed_text(trees)
+        assert [to_sexpr(t) for t in trees] == expected
+        assert all(hasattr(sub, "_text") for t in trees
+                   for _, sub in t.branches if sub.branches)
+        assert [to_sexpr(t) for t in trees] == expected
 
 
 def _reference_sexpr(t):
@@ -338,6 +359,73 @@ def test_printer_and_parser_match_the_recursive_reference(rng):
         text = to_sexpr(t)
         assert text == _reference_sexpr(t)
         assert parse_sexpr(text) == t
+
+
+def test_printing_leaves_no_trace_a_caller_can_see():
+    printed, fresh = (list(g_forest(2, 2)) + [encode_rational(1031 ** 4, 35)]
+                      for _ in range(2))
+
+    def seen(trees):
+        return ([hash(t) for t in trees],
+                [(a == b, a < b) for a in trees for b in trees])
+
+    before = seen(printed)
+    assert before == seen(fresh)
+    reprs = [repr(t) for t in printed]          # fills the memo
+    assert seen(printed) == before
+    assert [repr(t) for t in printed] == reprs == [repr(t) for t in fresh]
+    assert printed == fresh
+    assert all(hash(a) == hash(b) and not a < b and not b < a
+               for a, b in zip(printed, fresh))
+    t = printed[-1]
+    with pytest.raises(AttributeError, match="immutable"):
+        t._text = " (2)"
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(t.branches[0][1], "_text", " (2)")
+    assert repr(t) == reprs[-1]
+
+
+_SHARED_SUBTREES = list(g_forest(2, 2))     # shared by every example
+_PRIMES = (2, 3, 5, 1031)
+
+
+@st.composite
+def _trees_over_shared_subtrees(draw):
+    def branches(pool, inverted):
+        primes = draw(st.lists(st.sampled_from(_PRIMES), unique=True,
+                               max_size=3))
+        return [(Label(p, draw(inverted)), draw(st.sampled_from(pool)))
+                for p in primes]
+
+    # trees that hang under others, and may be printed before or after
+    pool = list(_SHARED_SUBTREES)
+    for _ in range(draw(st.integers(0, 3))):
+        pool.append(Tree(branches(pool, st.just(False))))
+    roots = [Tree(branches(pool, st.booleans()))
+             for _ in range(draw(st.integers(1, 6)))]
+    return draw(st.permutations(pool + roots))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees_over_shared_subtrees())
+def test_printing_shared_subtrees_in_any_order_matches_the_reference(trees):
+    for t in trees:
+        assert to_sexpr(t) == _reference_sexpr(t)
+
+
+def test_printing_keeps_text_in_proportion_to_the_print():
+    t = _chain(5000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        size = len(to_sexpr(t))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # the text is kept on the root branch's subtree only; text kept at
+    # every level would grow with the square of the depth (about 37 MB)
+    assert 0 < retained < 2 * size
+    assert to_sexpr(t) == "(r" + " (2" * 5000 + ")" * 5001
 
 
 @pytest.mark.parametrize("text, message", [
@@ -496,7 +584,7 @@ def test_canonical_input_is_never_sorted(monkeypatch):
         raise AssertionError("Tree sorted its branches")
 
     monkeypatch.setattr(tree_core, "sorted", refuse, raising=False)
-    assert len(list(sexpr_lines(g_forest(3, 2)))) == 729
+    assert len([to_sexpr(t) for t in g_forest(3, 2)]) == 729
     for m in range(1, 2001):
         encode_integer(m)
     for p in range(1, 60):
