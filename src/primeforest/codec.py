@@ -56,6 +56,8 @@ def eval_rational_tree(t, cap=None):
     and each root exponent is bounded before its power is taken, so no
     value far above the cap is ever built.
     """
+    if cap is not None and cap < 1:
+        raise _past_cap(cap)
     num = den = 1
     for label, sub in t.branches:
         p = label.prime

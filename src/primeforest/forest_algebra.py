@@ -19,6 +19,9 @@ class Forest:
     def __setattr__(self, name, value):
         raise AttributeError("Forest is immutable")
 
+    def __reduce__(self):
+        return Forest, (self.trees,)
+
     def __iter__(self):
         return iter(self.trees)
 
@@ -42,10 +45,6 @@ class Forest:
 
     def union(self, other):
         return Forest(self.trees + tuple(other))
-
-    def difference(self, other):
-        drop = set(other)
-        return Forest(t for t in self.trees if t not in drop)
 
 
 UNIT_FOREST = Forest([SINGLETON])

@@ -15,7 +15,7 @@ exponent trees from the same walk at the bound's bit length.
 import itertools
 
 from .codec import _approx, _max_exponent
-from .errors import SizeOverBudget
+from .errors import DomainError, SizeOverBudget
 from .forest_algebra import Forest, ordered_trees
 from .primes import prime_by_index
 from .tree_core import SINGLETON, Label, Tree
@@ -30,9 +30,12 @@ def g_count(n, h, cap=None):
     cap, a count above it raises SizeOverBudget, and each step's bit
     length is bounded before its power is taken, so no count far above
     the cap is ever built.  For n <= 1, S_h = (1 + h)^n, so no step is
-    taken.
+    taken.  A negative n or h raises DomainError.
     """
     what = f"g_count({n}, {h})"
+    for name, value in (("n", n), ("h", h)):
+        if value < 0:
+            raise DomainError(f"{what}: {name} must be >= 0")
     if n <= 1 and h:
         return _capped_power(1 + h, n, cap, what)
     s = 1

@@ -1,31 +1,30 @@
 """Primality, and the prime table behind factoring and "the first n primes".
 
-Tree labels carry their primes and are checked by is_prime alone, which
-never grows the table.  The table serves factor (its trial divisors) and
-the places that mean "the k-th prime": label_tree, the generator, the
-rational stages and the sieve's labels.
+is_prime is a pure function: deterministic Miller-Rabin with the first 13
+prime bases, exact below MR_BOUND ~ 3.3 * 10^24 (Sorenson and Webster
+2015).  Smaller n need fewer bases: below the least strong pseudoprime to
+the first k prime bases, those k bases suffice (Jaeschke 1993).  Above
+MR_BOUND a number that no base proves composite raises SizeOverBudget
+instead of being guessed prime.  Tree labels carry their primes and are
+checked by is_prime alone, so label checks never read or grow the table.
 
-One ascending table holds every prime up to ``_top``.  It grows on demand
-by a segmented Sieve of Eratosthenes over the missing range only: each
-segment is a bytearray of at most 1 MiB, one byte per odd number, struck
-out by base primes read from the table itself.  Each growth at least
-doubles ``_top``, so ascending requests cost O(log n) sieve passes.
+The table serves factor (its trial divisors) and the places that mean
+"the k-th prime": label_tree, the generator, the rational stages and the
+sieve's labels.  One ascending table holds every prime up to ``_top``.
+It grows on demand by a segmented Sieve of Eratosthenes over the missing
+range only: each segment is a bytearray of at most 1 MiB, one byte per
+odd number, struck out by base primes read from the table itself.  Each
+growth at least doubles ``_top``, so ascending requests cost O(log n)
+sieve passes.
 
 Growth stops at TABLE_CAP = 10^8.  There the table holds the 5,761,455
 primes below 10^8 as 4-byte machine integers, 23 MB.  A request that
 needs a prime above the cap raises SizeOverBudget carrying ``requested``
-and ``cap``; a composite above the cap is still reported as not prime.
+and ``cap``.
 
 Lookups take no lock: prime_by_index indexes the table and prime_index_of
 bisects it.  Only growth takes the lock, and it appends the new primes
 before it publishes the new ``_top``.
-
-Above the table's top, is_prime runs Miller-Rabin with the first 13 prime
-bases, which is exact below MR_BOUND ~ 3.3 * 10^24 (Sorenson and Webster
-2015).  Smaller n need fewer bases: below the least strong pseudoprime to
-the first k prime bases, those k bases suffice (Jaeschke 1993).  Above
-MR_BOUND a number that no base proves composite raises SizeOverBudget
-instead of being guessed prime.
 """
 
 import threading
@@ -84,8 +83,9 @@ def _over_cap(what, requested):
 
 
 def _proven_composite(n):
-    """True if a small prime divides n (n > 13) or a Miller-Rabin base
-    witnesses that n is composite.  False means prime when n < MR_BOUND."""
+    """For n >= 2: True if a base prime divides n and is not n itself, or a
+    Miller-Rabin base witnesses that n is composite.  False means prime
+    when n < MR_BOUND."""
     for p in _MR_BASES:
         if n % p == 0:
             return n != p
@@ -149,15 +149,11 @@ def prime_index_of(p):
 
 
 def is_prime(n):
-    """Exact primality: a table lookup up to the table's top, deterministic
-    Miller-Rabin above it.
+    """Exact primality by deterministic Miller-Rabin; False below 2.
 
     Raises SizeOverBudget for n >= MR_BOUND that no base proves composite.
     """
-    if n <= _top:
-        i = bisect_left(_primes, n)
-        return i < len(_primes) and _primes[i] == n
-    if _proven_composite(n):
+    if n < 2 or _proven_composite(n):
         return False
     if n >= MR_BOUND:
         raise SizeOverBudget(

@@ -137,7 +137,8 @@ def literal_fixpoint_sieve(q):
 
     Each generation is pruned to trees evaluating <= 2q (grafting and
     raising only ever increase evaluations, so nothing in the window is
-    lost); the loop stops when a generation adds no tree within bound.
+    lost).  Raising and grafting are monotone, so each generation holds
+    the one before it, and the loop stops at the first equal to it.
     Fidelity mode for q <= FIDELITY_CAP only.
     """
     _check_q(q, FIDELITY_CAP)
@@ -158,9 +159,8 @@ def literal_fixpoint_sieve(q):
             acc = prune(graft_forests(acc, factor))
         return acc
 
-    g_old = Forest()
-    g_new = next_generation(UNIT_FOREST)
-    while len(g_new.difference(g_old)) > 0:
+    g_old, g_new = Forest(), next_generation(UNIT_FOREST)
+    while g_new != g_old:
         g_old, g_new = g_new, next_generation(g_new)
     flags = bytearray(limit + 1)
     for t in g_new:

@@ -73,7 +73,8 @@ class Tree:
                 elif inverted < label.inverted:
                     inverted, prime = label.inverted, label.prime
                     continue
-                branches = tuple(sorted(branches, key=_branch_rank))
+                branches = tuple(sorted(branches,
+                                         key=lambda b: b[0].sort_rank))
                 seen = set()
                 break
             else:
@@ -100,6 +101,10 @@ class Tree:
 
     def __setattr__(self, name, value):
         raise AttributeError("Tree is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the checking constructor
+        return Tree, (self.branches,)
 
     @property
     def has_inverted(self):
@@ -147,12 +152,6 @@ _SET_BRANCHES = Tree.branches.__set__
 _SET_HEIGHT = Tree.height.__set__
 _SET_HASH = Tree._hash.__set__
 _SET_TEXT = Tree._text.__set__
-
-
-def _branch_rank(branch):
-    # Label.sort_rank, read without the property call
-    label = branch[0]
-    return label.inverted, label.prime
 
 
 SINGLETON = Tree()

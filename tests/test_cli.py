@@ -1,6 +1,8 @@
 import hashlib
 import io
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -16,6 +18,7 @@ from primeforest.sieve import eratosthenes
 from primeforest.tree_core import SINGLETON, Label, Tree
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = SRC.parent / "README.md"
 
 
 def invoke(*argv):
@@ -31,6 +34,18 @@ def run_cli(*argv, flags=(), timeout=10):
         env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True,
         timeout=timeout)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_readme_examples():
+    # README lines "primeforest ARGS  # -> EXPECTED": EXPECTED is stdout,
+    # its lines joined by ", "
+    examples = re.findall(r"^primeforest (.+?)\s+# -> (.+?)\s*$",
+                          README.read_text(), re.MULTILINE)
+    assert examples
+    for args, expected in examples:
+        code, out, err = invoke(*shlex.split(args))
+        assert (code, ", ".join(out.splitlines()), err) == (0, expected, ""), \
+            args
 
 
 def test_encode_integer():

@@ -89,9 +89,8 @@ def test_eval_multiplicative(rng):
         top = max(va, vb)
         assert eval_rational_tree(r) == eval_rational_tree(r, top) \
             == Fraction(va, vb)
-        if top > 1:
-            with pytest.raises(SizeOverBudget):
-                eval_rational_tree(r, top - 1)
+        with pytest.raises(SizeOverBudget):
+            eval_rational_tree(r, top - 1)
 
 
 def test_rational_known_values():
@@ -128,9 +127,8 @@ def test_eval_bounded_agrees_below_bound():
         assert eval_bounded(t, m + 1) == m
         for cap in (m, m + 1):
             assert eval_rational_tree(t, cap) == m
-        if m > 1:
-            with pytest.raises(SizeOverBudget):
-                eval_rational_tree(t, m - 1)
+        with pytest.raises(SizeOverBudget):
+            eval_rational_tree(t, m - 1)
 
 
 def test_eval_bounded_overbound():
@@ -188,10 +186,14 @@ def test_roundtrip_past_the_prime_table():
 def test_eval_rational_tree_cap():
     t = parse_sexpr("(r (2 (3)) (1/3 (2)))")
     assert eval_rational_tree(t, cap=9) == Fraction(8, 9)
-    for cap in (8, 1):
+    for cap in (8, 1, 0, -1):
         with pytest.raises(SizeOverBudget) as info:
             eval_rational_tree(t, cap=cap)
         assert info.value.cap == cap
+    # below 1 no tree fits, not even the singleton
+    for cap in (0, -1):
+        with pytest.raises(SizeOverBudget):
+            eval_rational_tree(SINGLETON, cap=cap)
     tower = parse_sexpr("(r (2 (2 (2 (2 (2 (2)))))))")
     with pytest.raises(SizeOverBudget):
         eval_rational_tree(tower, cap=10 ** 4300)

@@ -1,7 +1,7 @@
 import pytest
 
 from primeforest.codec import encode_integer, eval_integer_tree
-from primeforest.errors import SizeOverBudget
+from primeforest.errors import DomainError, SizeOverBudget
 from primeforest.forest_algebra import Forest, graft_forests, raise_forest
 from primeforest.generator import (
     DEFAULT_CAP,
@@ -11,6 +11,7 @@ from primeforest.generator import (
     g_forest,
     g_trees,
 )
+from primeforest.rationals import h_count, h_forest
 from primeforest.tree_core import SINGLETON, label_tree, validate
 
 
@@ -35,6 +36,16 @@ def test_g_count_takes_no_steps_for_at_most_one_label():
         g_count(1, DEFAULT_CAP, DEFAULT_CAP)
     assert (info.value.requested, info.value.cap) \
         == (DEFAULT_CAP + 1, DEFAULT_CAP)
+
+
+@pytest.mark.parametrize("size", [g_count, g_forest, g_trees,
+                                  all_valid_trees_bruteforce, h_count,
+                                  h_forest])
+@pytest.mark.parametrize("args", [(-1, 2), (2, -1), (-1, -1)])
+def test_negative_sizes_are_refused(size, args):
+    with pytest.raises(DomainError, match="must be >= 0") as info:
+        size(*args)
+    assert type(info.value) is DomainError
 
 
 def test_listing_stops_at_the_first_empty_height():

@@ -1,5 +1,6 @@
 import random
 import subprocess
+from array import array
 import sys
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primeforest import primes
 from primeforest.codec import factor
 from primeforest.errors import SizeOverBudget
 from primeforest.primes import (
@@ -71,7 +73,7 @@ def test_cold_prime_by_index_past_the_top():
 
 
 def test_is_prime_above_the_table_matches_eratosthenes():
-    # a cold table tops out at 13, so every larger n goes to Miller-Rabin
+    # is_prime is Miller-Rabin alone: it neither reads nor grows the table
     run_cold("ref = set(eratosthenes(2 * 10 ** 5))\n"
              "bad = [n for n in range(-5, 2 * 10 ** 5)\n"
              "       if primes.is_prime(n) != (n in ref)]\n"
@@ -99,6 +101,12 @@ def test_is_prime_against_the_table():
 @given(st.integers(min_value=0, max_value=200_000))
 def test_index_roundtrip(k):
     assert prime_index_of(prime_by_index(k)) == k
+
+
+def test_is_prime_reads_no_table(monkeypatch):
+    monkeypatch.setattr(primes, "_primes", array("i"))
+    monkeypatch.setattr(primes, "_top", 0)
+    assert [n for n in range(-5, 2000) if is_prime(n)] == eratosthenes(2000)
 
 
 def test_rejects_non_primes():

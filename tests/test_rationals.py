@@ -109,7 +109,7 @@ def test_stage_trees_match_forest_differences():
     s1 = list(stage_trees(1))
     s2 = list(stage_trees(2))
     assert set(s1) == set(h11)
-    assert set(s2) == set(h22.difference(h11))
+    assert set(s2) == set(h22) - set(h11)
     assert s1 == sorted(s1)
     assert s2 == sorted(s2)
 
