@@ -54,7 +54,6 @@ from .tree_core import (
     graft,
     label_tree,
     parse_sexpr,
-    singleton,
     to_sexpr,
     validate,
 )

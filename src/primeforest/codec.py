@@ -4,7 +4,8 @@ Evaluation maps sibling branches to multiplication and a child subtree to
 its parent prime's exponent, leaves first (exponentiation does not
 associate).  All three evaluators run one walk, _value, exact or under a
 bound, and look for inverted labels at the root only: Tree keeps them
-there.  Encoding inverts this by factoring, with a table of exponent trees.
+there.  Encoding inverts this by factoring; factor(1), the empty product,
+is empty.  Only encode_integer reads its table of the trees of 1..127.
 """
 
 from fractions import Fraction
@@ -27,26 +28,21 @@ OVER_BOUND = _OverBound()
 
 def eval_integer_tree(t):
     """Exact integer value of a tree without inverted labels."""
-    if t.has_inverted:
-        raise InverseLabelPresent("tree carries inverted labels")
-    return _value(t)
+    return eval_bounded(t, None)
 
 
 def encode_integer(m):
     """The unique valid tree evaluating to m >= 1."""
-    if m == 0:
-        raise ZeroInput("0 has no tree")
-    if m < 0:
-        raise ZeroInput("negative integers have no tree")
-    if m == 1:
-        return SINGLETON
+    if 0 < m < len(_SMALL_TREES):
+        return _SMALL_TREES[m]
+    if m < 1:
+        raise ZeroInput("only positive integers have trees")
     return Tree(_factor_branches(m))
 
 
 def _factor_branches(m, inverted=False):
-    """The branch p -> (tree of e) of each prime power p^e in m >= 2."""
-    return [(Label(p, inverted), _EXPONENT_TREES[e] if e < len(_EXPONENT_TREES)
-             else encode_integer(e)) for p, e in factor(m)]
+    """The branch p -> (tree of e) of each prime power p^e in m >= 1."""
+    return [(Label(p, inverted), encode_integer(e)) for p, e in factor(m)]
 
 
 def eval_rational_tree(t, cap=None):
@@ -80,14 +76,8 @@ def encode_rational(num, den=1):
     if num <= 0 or den <= 0:
         raise ZeroInput("only positive rationals have trees")
     g = gcd(num, den)
-    num //= g
-    den //= g
-    branches = []
-    if num > 1:
-        branches += _factor_branches(num)
-    if den > 1:
-        branches += _factor_branches(den, inverted=True)
-    return Tree(branches)
+    return Tree(_factor_branches(num // g)
+                + _factor_branches(den // g, inverted=True))
 
 
 def _past_cap(cap):
@@ -109,7 +99,7 @@ def _max_exponent(bound, base):
 
 
 def eval_bounded(t, bound):
-    """Exact value if <= bound, else OVER_BOUND.
+    """Exact value if <= bound (None: no bound), else OVER_BOUND.
 
     Exponents are capped in logarithmic space before exponentiating, so
     this terminates quickly even on tall exponent towers.
@@ -137,14 +127,14 @@ def _value(t, bound=None):
 
 
 def factor(m):
-    """Prime factorization of m >= 2, ascending primes.
+    """Prime factorization of m >= 1, ascending primes ([] for m = 1).
 
     Divides only by table primes p, and only while p * p <= the cofactor.
     When the table runs out first, a prime cofactor ends the search;
     otherwise the table grows.
     """
-    if m < 2:
-        raise ValueError("factor needs m >= 2")
+    if m < 1:
+        raise ValueError("factor needs m >= 1")
     out = []
     rest = m
     k = 0
@@ -177,6 +167,6 @@ def factor(m):
     return out
 
 
-# encode_integer(e) at index e = 1..127: the exponents of every m < 2^128
-_EXPONENT_TREES = ()    # empty while encode_integer builds it
-_EXPONENT_TREES = (None,) + tuple(map(encode_integer, range(1, 128)))
+# encode_integer(m) at index m = 1..127, the exponents of every m < 2^128
+_SMALL_TREES = (None, SINGLETON)    # all there is while it builds the rest
+_SMALL_TREES += tuple(map(encode_integer, range(2, 128)))

@@ -72,14 +72,20 @@ def raise_forest(t, forest):
     """
     if t.is_singleton:
         return UNIT_FOREST
-    return Forest(_attach_at_leaves(t, member) for member in forest)
+    # t's distinct subtree objects, lowest first: each is rebuilt once and
+    # after its own subtrees, with no recursion however tall t is
+    subs = sorted({id(sub): sub for _, sub in t._walk()}.values(),
+                  key=lambda sub: sub.height) + [t]
+    return Forest(_attach_at_leaves(subs, member) for member in forest)
 
 
-def _attach_at_leaves(t, member):
-    if t.is_singleton:
-        return member
-    return Tree(tuple((label, _attach_at_leaves(sub, member))
-                      for label, sub in t.branches))
+def _attach_at_leaves(subs, member):
+    """The last of subs, ordered by height, with member beneath its leaves."""
+    new = {}
+    for t in subs:
+        new[id(t)] = member if t.is_singleton else Tree(
+            tuple((label, new[id(sub)]) for label, sub in t.branches))
+    return new[id(subs[-1])]
 
 
 def ordered_trees(labels, subs, height):

@@ -15,6 +15,7 @@ import itertools
 from fractions import Fraction
 
 from .codec import eval_rational_tree
+from .errors import DomainError
 from .forest_algebra import (
     UNIT_FOREST, graft_forests, ordered_trees, raise_forest)
 from .generator import DEFAULT_CAP, _capped_power, g_count, g_forest
@@ -36,8 +37,11 @@ def h_count(i, m, cap=None):
     """Predicted size of h_forest(i, m): each prime independently
     contributes nothing, or one of 2 * g_count(m, i) raised trees.  Given
     a cap, a count above it raises SizeOverBudget before it is built."""
-    return _capped_power(1 + 2 * g_count(m, i, cap), m, cap,
-                         f"h_count({i}, {m})")
+    what = f"h_count({i}, {m})"
+    for name, value in (("i", i), ("m", m)):
+        if value < 0:
+            raise DomainError(f"{what}: {name} must be >= 0")
+    return _capped_power(1 + 2 * g_count(m, i, cap), m, cap, what)
 
 
 def h_forest(i, m):

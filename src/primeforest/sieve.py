@@ -24,7 +24,7 @@ from bisect import bisect_right
 from .codec import OVER_BOUND, _max_exponent, encode_integer, eval_bounded
 from .errors import DomainError, NotPrime, SizeOverBudget
 from .forest_algebra import Forest, UNIT_FOREST, graft_forests, raise_forest
-from .generator import DEFAULT_CAP, bounded_value_trees
+from .generator import bounded_value_trees
 from .primes import is_prime, primes_upto
 from .tree_core import label_tree
 
@@ -84,7 +84,7 @@ def _composite_flags(q):
     # no exponent passes bits, nor has a prime factor above it
     bits = _max_exponent(limit, 2)
     exponents = sorted(e for e, _ in bounded_value_trees(
-        range(bisect_right(primes, bits)), bits) if e >= 1)
+        range(bisect_right(primes, bits)), bits))
     flags = bytearray(limit + 1)
     marks = 0
 
@@ -153,9 +153,6 @@ def literal_fixpoint_sieve(q):
         acc = UNIT_FOREST
         for k in range(n):
             factor = prune(UNIT_FOREST.union(raise_forest(label_tree(k), forest)))
-            if len(acc) * len(factor) > DEFAULT_CAP:
-                raise SizeOverBudget(
-                    f"fixpoint sieve generation exceeds cap {DEFAULT_CAP}")
             acc = prune(graft_forests(acc, factor))
         return acc
 

@@ -75,6 +75,13 @@ def test_raise_of_singleton_member_is_identity():
         == Forest([label_tree(0)])
 
 
+def test_raising_a_tall_tree_needs_no_recursion():
+    # a chain of 1,500 labels 2, past the default recursion limit
+    tall = g_forest(1, 1500).trees[-1]
+    assert [t.height for t in raise_forest(tall, g_forest(1, 1))] \
+        == [1500, 1501]
+
+
 def test_raise_preserves_size():
     f = Forest([SINGLETON, label_tree(1), validate([(2, []), (5, [])])])
     assert len(raise_forest(label_tree(0), f)) == len(f)

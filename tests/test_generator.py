@@ -46,6 +46,9 @@ def test_negative_sizes_are_refused(size, args):
     with pytest.raises(DomainError, match="must be >= 0") as info:
         size(*args)
     assert type(info.value) is DomainError
+    # h_forest(i, m) is refused as h_count(i, m), by its own argument names
+    if size in (h_count, h_forest):
+        assert str(info.value).startswith("h_count({}, {}): ".format(*args))
 
 
 def test_listing_stops_at_the_first_empty_height():

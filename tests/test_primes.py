@@ -116,6 +116,8 @@ def test_rejects_non_primes():
         assert not is_prime(n), n
         with pytest.raises(ValueError):
             prime_index_of(n)
+    with pytest.raises(ValueError):
+        prime_by_index(-1)
 
 
 def test_strong_pseudoprimes_are_composite():

@@ -117,6 +117,10 @@ def test_validate_refuses_children_that_are_not_branches():
     for raw in ([(2, 5)], [(2, [(3, None)])], 5):
         with pytest.raises(ParseError, match="iterable of branches"):
             validate(raw)
+    for raw in ([5], [(2,)]):
+        with pytest.raises(ParseError,
+                           match=r"branch must be a \(label, children\) pair"):
+            validate(raw)
 
 
 def test_validate_refuses_deep_nesting():
