@@ -10,7 +10,7 @@ import itertools
 import sys
 
 from . import codec, generator, rationals, sieve
-from .errors import DomainError, SizeOverBudget
+from .errors import DomainError, ParseError, SizeOverBudget
 from .tree_core import parse_sexpr, to_sexpr
 
 
@@ -67,10 +67,13 @@ def _natural(text):
 
 
 def _parse_rational(text):
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return int(num), int(den)
-    return int(text), 1
+    try:
+        if "/" in text:
+            num, den = text.split("/", 1)
+            return int(num), int(den)
+        return int(text), 1
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def _print_cap():
@@ -246,7 +249,7 @@ def run(argv, out=None, err=None):
         return exc.code if exc.code is not None else 2
     try:
         return _HANDLERS[args.command](args, out)
-    except (DomainError, ValueError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=err)
         return 1
 

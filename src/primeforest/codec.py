@@ -8,12 +8,14 @@ there.  Encoding inverts this by factoring; factor(1), the empty product,
 is empty.  Only encode_integer reads its table of the trees of 1..127.
 """
 
+from collections import Counter
 from fractions import Fraction
+from itertools import count
 from math import gcd
 
-from .errors import InverseLabelPresent, SizeOverBudget, ZeroInput
-from .primes import (TABLE_CAP, is_prime, prime_by_index, prime_index_of,
-                     table_primes)
+from .errors import (DomainError, InverseLabelPresent, SizeOverBudget,
+                     ZeroInput, as_integer)
+from .primes import SMALL_PRIMES, is_prime
 from .tree_core import SINGLETON, Label, Tree
 
 
@@ -24,6 +26,7 @@ class _OverBound:
 
 # Marker: a bounded evaluation exceeded its bound.  Test it with `is`.
 OVER_BOUND = _OverBound()
+SPLIT_STEPS = 1 << 20           # Pollard-Brent's budget for one split
 
 
 def eval_integer_tree(t):
@@ -129,42 +132,54 @@ def _value(t, bound=None):
 def factor(m):
     """Prime factorization of m >= 1, ascending primes ([] for m = 1).
 
-    Divides only by table primes p, and only while p * p <= the cofactor.
-    When the table runs out first, a prime cofactor ends the search;
-    otherwise the table grows.
+    Divides by SMALL_PRIMES while p * p <= the cofactor, so a cofactor
+    left below 2^32 is 1 or prime; _large_primes factors a larger one.
     """
+    m = as_integer(m)
     if m < 1:
-        raise ValueError("factor needs m >= 1")
+        raise DomainError("factor needs m >= 1")
     out = []
     rest = m
-    k = 0
-    while True:
-        for p in table_primes(k):
-            if p * p > rest:
-                break
-            if rest % p == 0:
-                e = 0
-                while rest % p == 0:
-                    rest //= p
-                    e += 1
-                out.append((p, e))
-        else:
-            # the table ran out with p * p <= rest: unless rest is prime,
-            # go on past p
-            if not is_prime(rest):
-                k = prime_index_of(p) + 1
-                try:
-                    prime_by_index(k)       # grows the table past p
-                except SizeOverBudget:
-                    raise SizeOverBudget(
-                        f"{m} leaves the composite cofactor {rest}, which has "
-                        f"no prime factor below the prime table cap {TABLE_CAP}",
-                        requested=m, cap=TABLE_CAP) from None
-                continue
-        break
+    for p in SMALL_PRIMES:
+        if p * p > rest:
+            break
+        if rest % p == 0:
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            out.append((p, e))
+    if rest >= 1 << 32:
+        return out + sorted(Counter(_large_primes(rest)).items())
     if rest > 1:
         out.append((rest, 1))
     return out
+
+
+def _large_primes(n):
+    """The prime factors of n > 1, repeated, if no prime below 2^16 divides
+    n: Brent's form of Pollard's rho (Brent 1980) splits a composite within
+    SPLIT_STEPS steps, each weighed by n's 64-bit words, or refuses it."""
+    if is_prime(n):
+        return [n]
+    steps = 0
+    for c in count(1):
+        y = g = r = 1
+        while g == 1:
+            steps += r * (n.bit_length() // 64 + 1)
+            if steps > SPLIT_STEPS:
+                raise SizeOverBudget(
+                    f"{n} is not split in {SPLIT_STEPS} Pollard-Brent steps",
+                    requested=steps, cap=SPLIT_STEPS)
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+                g = gcd(y - x, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g != n:
+            return _large_primes(g) + _large_primes(n // g)
 
 
 # encode_integer(m) at index m = 1..127, the exponents of every m < 2^128

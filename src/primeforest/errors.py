@@ -1,7 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check at
+its entry points."""
+
+import operator
 
 
-class DomainError(Exception):
+class DomainError(ValueError):
     """Base class for all input/invariant violations raised by this package."""
 
 
@@ -37,3 +40,12 @@ class NotPrime(DomainError):
 
 class ParseError(DomainError):
     """Malformed tree text."""
+
+
+def as_integer(value):
+    """value as an int, for anything operator.index takes (not a float or a
+    string); DomainError otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"not an integer: {value!r}") from None

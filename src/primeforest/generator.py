@@ -17,7 +17,7 @@ import itertools
 from .codec import _approx, _max_exponent
 from .errors import DomainError, SizeOverBudget
 from .forest_algebra import Forest, ordered_trees
-from .primes import prime_by_index
+from .primes import first_primes, prime_by_index
 from .tree_core import SINGLETON, Label, Tree
 
 DEFAULT_CAP = 10 ** 7
@@ -77,7 +77,7 @@ def _check_listing(n, h):
 def g_forest(n, h):
     """The forest of all validly labeled trees over n labels, height <= h."""
     _check_listing(n, h)
-    labels = [Label(p) for p in map(prime_by_index, range(n))]
+    labels = [Label(p) for p in first_primes(n)]
     trees = [SINGLETON]
     # with no labels, no height adds a tree to the singleton
     for height in range(1, h + 1 if n else 1):
@@ -93,7 +93,7 @@ def g_trees(n, h):
     if h == 0:
         return iter(g_forest(n, 0))
     lower = g_forest(n, h - 1)
-    labels = [Label(p) for p in map(prime_by_index, range(n))]
+    labels = [Label(p) for p in first_primes(n)]
     return itertools.chain(lower, ordered_trees(labels, lower.trees, h))
 
 
@@ -105,7 +105,7 @@ def all_valid_trees_bruteforce(n, h):
     bottom up, under g_forest's listing budget.
     """
     _check_listing(n, h)
-    labels = [Label(prime_by_index(k)) for k in range(n)]
+    labels = [Label(p) for p in first_primes(n)]
     # branches -> tree: each distinct tree is built once, so a level holds
     # no copies of the trees below it and memory stays within the forest
     known = {}

@@ -1,41 +1,27 @@
-"""Primality, and the prime table behind factoring and "the first n primes".
+"""Primality, prime counting and the k-th prime, as pure functions.
 
-is_prime is a pure function: deterministic Miller-Rabin with the first 13
-prime bases, exact below MR_BOUND ~ 3.3 * 10^24 (Sorenson and Webster
-2015).  Smaller n need fewer bases: below the least strong pseudoprime to
-the first k prime bases, those k bases suffice (Jaeschke 1993).  Above
-MR_BOUND a number that no base proves composite raises SizeOverBudget
-instead of being guessed prime.  Tree labels carry their primes and are
-checked by is_prime alone, so label checks never read or grow the table.
+is_prime is deterministic Miller-Rabin with the first 13 prime bases,
+exact below MR_BOUND ~ 3.3 * 10^24 (Sorenson and Webster 2015).  Smaller n
+need fewer bases: below the least strong pseudoprime to the first k prime
+bases, those k bases suffice (Jaeschke 1993).  Above MR_BOUND a number
+that no base proves composite raises SizeOverBudget instead of being
+guessed prime.  Tree labels are checked by is_prime alone.
 
-The table serves factor (its trial divisors) and the places that mean
-"the k-th prime": label_tree, the generator, the rational stages and the
-sieve's labels.  One ascending table holds every prime up to ``_top``.
-It grows on demand by a segmented Sieve of Eratosthenes over the missing
-range only: each segment is a bytearray of at most 1 MiB, one byte per
-odd number, struck out by base primes read from the table itself.  Each
-growth at least doubles ``_top``, so ascending requests cost O(log n)
-sieve passes.
-
-Growth stops at TABLE_CAP = 10^8.  There the table holds the 5,761,455
-primes below 10^8 as 4-byte machine integers, 23 MB.  A request that
-needs a prime above the cap raises SizeOverBudget carrying ``requested``
-and ``cap``.
-
-Lookups take no lock: prime_by_index indexes the table and prime_index_of
-bisects it.  Only growth takes the lock, and it appends the new primes
-before it publishes the new ``_top``.
+SMALL_PRIMES, the primes below 2^16, is a tuple sieved once at import.
+Above 2^16, primes_upto sieves, prime_index_of(p) is pi(p) - 1 by a
+Lucy-style count (Lagarias, Miller and Odlyzko 1985), and prime_by_index
+counts the primes below Dusart's bracket on the k-th prime and sieves
+the bracket.  Primes, indices and bounds past PRIME_CAP = 10^8 raise
+SizeOverBudget with ``requested`` and ``cap``; non-integers raise DomainError.
 """
 
-import threading
-from array import array
 from bisect import bisect_left, bisect_right
 from itertools import compress, islice
 from math import isqrt, log
 
-from .errors import SizeOverBudget
+from .errors import DomainError, NotPrime, SizeOverBudget, as_integer
 
-TABLE_CAP = 10 ** 8
+PRIME_CAP = 10 ** 8
 # Least strong pseudoprime to all of _MR_BASES (Sorenson and Webster 2015).
 MR_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -46,40 +32,50 @@ _MR_PLAN = ((2_047, 1), (1_373_653, 2), (25_326_001, 3),
             (3_474_749_660_383, 6), (341_550_071_728_321, 7),
             (3_825_123_056_546_413_051, 9),
             (318_665_857_834_031_151_167_461, 12), (MR_BOUND, 13))
-_SEGMENT_BYTES = 1 << 20
-
-_primes = array("i", [2, 3, 5, 7, 11, 13])
-_top = 13                  # every prime <= _top is in _primes
-_lock = threading.Lock()
 
 
-def _sieve_to(n):
-    """Extend the table with every prime up to at least n (n <= TABLE_CAP)."""
-    global _top
-    with _lock:
-        target = min(TABLE_CAP, max(n, 2 * _top))
-        while _top < target:
-            # odd numbers lo, lo + 2, ..., hi; the table must already hold
-            # every base prime <= isqrt(hi)
-            lo = (_top + 1) | 1
-            hi = min(target, _top * _top, lo + 2 * _SEGMENT_BYTES - 2)
-            size = (hi - lo) // 2 + 1
-            flags = bytearray(b"\x01") * size
-            for p in _primes[1:bisect_right(_primes, isqrt(hi))]:
-                start = max(p * p, -(-lo // p) * p)
-                if not start & 1:
-                    start += p
-                i = (start - lo) >> 1
-                if i < size:
-                    flags[i::p] = bytes((size - 1 - i) // p + 1)
-            _primes.extend(compress(range(lo, hi + 1, 2), flags))
-            _top = hi
+def _primes_between(lo, hi, divisors):
+    """Iterator over the primes in [lo, hi], lo >= 2: each d in divisors, which
+    ascend and hold every prime up to isqrt(hi), strikes out its multiples."""
+    flags = bytearray(b"\x01") * (hi - lo + 1)
+    for d in divisors:
+        if d * d > hi:
+            break
+        start = max(d * d, -(-lo // d) * d)
+        flags[start - lo::d] = bytes(len(range(start, hi + 1, d)))
+    return compress(range(lo, hi + 1), flags)
+
+
+SMALL_PRIMES = tuple(_primes_between(2, (1 << 16) - 1, range(2, 1 << 8)))
 
 
 def _over_cap(what, requested):
     return SizeOverBudget(
-        f"{what} {requested} lies past the prime table cap {TABLE_CAP}",
-        requested=requested, cap=TABLE_CAP)
+        f"{what} {requested} lies past the prime cap {PRIME_CAP}",
+        requested=requested, cap=PRIME_CAP)
+
+
+def _prime_count(x):
+    """pi(x) for x >= 1.  S(v), the integers in [2, v] not struck yet, is
+    kept in small[v] for v <= isqrt(x) and in large[i] for v = x // i;
+    striking a prime p takes S(v // p) - S(p - 1) from each S(v >= p^2)."""
+    r = isqrt(x)
+    small = list(range(-1, r))
+    large = [0] + [x // i - 1 for i in range(1, r + 1)]
+    for p in range(2, r + 1):
+        if small[p] == small[p - 1]:
+            continue                    # struck: p is composite
+        s = small[p - 1]
+        m = min(r, x // (p * p))        # the i with x // i >= p * p
+        k = min(m, r // p)              # the i with i * p <= r
+        # each list is built from the old values before it is stored
+        large[1:k + 1] = [a - b + s
+                          for a, b in zip(large[1:k + 1], large[p::p])]
+        large[k + 1:m + 1] = [large[i] - small[x // (i * p)] + s
+                              for i in range(k + 1, m + 1)]
+        small[p * p:] = [a - small[v // p] + s
+                         for v, a in enumerate(small[p * p:], p * p)]
+    return large[1]
 
 
 def _proven_composite(n):
@@ -109,43 +105,38 @@ def _proven_composite(n):
 def prime_by_index(k):
     """Return the k-th prime, counting from prime_by_index(0) == 2.
 
-    Raises SizeOverBudget (requested=k) when that prime lies above
-    TABLE_CAP.
+    Raises DomainError for k < 0, and SizeOverBudget (requested=k) when
+    that prime lies above PRIME_CAP.
     """
+    k = as_integer(k)
     if k < 0:
-        raise ValueError("prime index must be >= 0")
-    try:
-        return _primes[k]
-    except IndexError:
-        pass
-    # the (k+1)-th prime p_n, n >= 7, lies in
-    # (n(ln n + ln ln n - 1), n(ln n + ln ln n)) (Dusart 1999; Rosser 1941)
+        raise DomainError("prime index must be >= 0")
+    if k < len(SMALL_PRIMES):
+        return SMALL_PRIMES[k]
+    # the (k+1)-th prime p_n, n >= 6, lies in (n(ln n + ln ln n - 1),
+    # n(ln n + ln ln n)) (Dusart 1999; Rosser 1941), here widened by one
     n = k + 1
     estimate = n * (log(n) + log(log(n)))
-    if estimate - n > TABLE_CAP:
-        raise _over_cap("prime index", k)
-    _sieve_to(min(TABLE_CAP, int(estimate) + 1))
-    if k >= len(_primes):
-        raise _over_cap("prime index", k)
-    return _primes[k]
+    lo, hi = int(estimate) - n - 1, int(estimate) + 1
+    if lo < PRIME_CAP:
+        window = _primes_between(lo + 1, min(hi, PRIME_CAP), SMALL_PRIMES)
+        for p in islice(window, k - _prime_count(lo), None):
+            return p
+    raise _over_cap("prime index", k)
 
 
 def prime_index_of(p):
     """Inverse of prime_by_index.
 
-    Raises ValueError if p is not prime, and SizeOverBudget (requested=p)
-    if p is a prime above TABLE_CAP.
+    Raises NotPrime if p is not prime, and SizeOverBudget (requested=p)
+    if p is a prime above PRIME_CAP.
     """
-    if p > _top:
-        if _proven_composite(p):
-            raise ValueError(f"{p} is not prime")
-        if p > TABLE_CAP:
-            raise _over_cap("prime", p)
-        _sieve_to(p)
-    i = bisect_left(_primes, p)
-    if i == len(_primes) or _primes[i] != p:
-        raise ValueError(f"{p} is not prime")
-    return i
+    p = as_integer(p)
+    if p < 2 or _proven_composite(p):
+        raise NotPrime(f"{p} is not prime")
+    if p > PRIME_CAP:
+        raise _over_cap("prime", p)
+    return bisect_left(SMALL_PRIMES, p) if p < 1 << 16 else _prime_count(p) - 1
 
 
 def is_prime(n):
@@ -153,6 +144,7 @@ def is_prime(n):
 
     Raises SizeOverBudget for n >= MR_BOUND that no base proves composite.
     """
+    n = as_integer(n)
     if n < 2 or _proven_composite(n):
         return False
     if n >= MR_BOUND:
@@ -162,16 +154,15 @@ def is_prime(n):
     return True
 
 
-def table_primes(start=0):
-    """Iterator over the primes already in the table, ascending from index
-    start; it grows nothing and ends where the table ends."""
-    return islice(_primes, start, None)
-
-
 def primes_upto(n):
-    """All primes <= n, ascending; SizeOverBudget above TABLE_CAP."""
-    if n > _top:
-        if n > TABLE_CAP:
-            raise _over_cap("bound", n)
-        _sieve_to(n)
-    return _primes[:bisect_right(_primes, n)].tolist()
+    """All primes <= n, ascending; SizeOverBudget above PRIME_CAP."""
+    n = as_integer(n)
+    if n > PRIME_CAP:
+        raise _over_cap("bound", n)
+    small = SMALL_PRIMES[:bisect_right(SMALL_PRIMES, n)]
+    return [*small, *_primes_between(1 << 16, n, SMALL_PRIMES)]
+
+
+def first_primes(n):
+    """The first n primes; SizeOverBudget when the last passes PRIME_CAP."""
+    return primes_upto(prime_by_index(n - 1)) if n > 0 else []

@@ -19,7 +19,7 @@ from .errors import DomainError
 from .forest_algebra import (
     UNIT_FOREST, graft_forests, ordered_trees, raise_forest)
 from .generator import DEFAULT_CAP, _capped_power, g_count, g_forest
-from .primes import prime_by_index, prime_index_of
+from .primes import first_primes, prime_index_of
 from .tree_core import SINGLETON, Label, label_tree
 
 # stage_trees takes the enumerator's trees this many at a time, with a new
@@ -94,7 +94,7 @@ def stage_trees(s):
     if s == 1:
         yield SINGLETON
     labels = [Label(p, inverted) for inverted in (False, True)
-              for p in map(prime_by_index, range(s))]
+              for p in first_primes(s)]
     for height in range(1, s + 2):
         subs = g_forest(s, height - 1)
         new_subs = {sub for sub in subs

@@ -5,9 +5,9 @@ unlabeled root.  Construction checks in one pass that the branches come in
 canonical order, sorts only input that does not, and rejects any labeling
 a valid tree cannot carry, so structural equality is semantic equality.
 A Label carries its prime itself, so building, printing and evaluating a
-tree never consult the prime table; only label_tree, which means "the
-k-th prime", does.  Labels of the primes below 2^10 come from
-a fixed table, checked once at import.
+tree never ask for a prime's index; only label_tree, which means "the
+k-th prime", does.  Labels of the primes below 2^10 come from a fixed
+table, read from primes.SMALL_PRIMES at import.
 
 Every walk here is iterative, and only codec._value recurses, so
 MAX_DEPTH guards parse and validate input only.  Enumerated trees share
@@ -16,10 +16,11 @@ walked once; deeper subtrees keep none.
 """
 
 import functools
+from bisect import bisect_left
 from typing import NamedTuple
 
 from .errors import MisplacedInverse, ParseError, SiblingCollision
-from .primes import is_prime, prime_by_index
+from .primes import SMALL_PRIMES, is_prime, prime_by_index
 
 MAX_DEPTH = 200
 
@@ -253,7 +254,8 @@ def _parse_label(spec):
 
 
 # text -> Label of each prime below 2^10, plain and inverted
-_SMALL_LABELS = {label.text: label for p in range(2, 1 << 10) if is_prime(p)
+_SMALL_LABELS = {label.text: label
+                 for p in SMALL_PRIMES[:bisect_left(SMALL_PRIMES, 1 << 10)]
                  for label in (Label(p), Label(p, True))}
 # Label -> " (<label>", the opener to_sexpr prints for it
 _OPEN = {label: " (" + text for text, label in _SMALL_LABELS.items()}

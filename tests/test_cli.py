@@ -323,6 +323,19 @@ def test_labels_past_the_prime_table_cap():
         assert "Traceback" not in err
 
 
+def test_factors_and_prime_indices_past_the_small_primes():
+    # Pollard-Brent splits what trial division below 2^16 leaves, and a
+    # prime's index is counted, not looked up
+    for argv, expected, seconds in (
+            (["encode", "10000001400000049"], "(r (100000007 (2)))\n", 1),
+            (["encode", "1000000016000000063"],
+             "(r (1000000007) (1000000009))\n", 1),
+            (["rationals", "--locate", "99999989"], "5761455\n", 0.5),
+            # the labels are the first 10^5 primes, counted once
+            (["forest", "--labels", "100000", "--height", "0"], "(r)\n", 2)):
+        assert run_cli(*argv, timeout=seconds) == (0, expected, ""), argv
+
+
 def test_decode_refuses_values_too_long_to_print():
     # 2^(2^65536): the root exponent is bounded before the power is taken
     code, out, err = run_cli("decode", "(r (2 (2 (2 (2 (2 (2)))))))",

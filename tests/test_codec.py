@@ -16,7 +16,8 @@ from primeforest.codec import (
     eval_rational_tree,
     factor,
 )
-from primeforest.errors import InverseLabelPresent, SizeOverBudget, ZeroInput
+from primeforest.errors import (DomainError, InverseLabelPresent,
+                                SizeOverBudget, ZeroInput)
 from primeforest.generator import g_forest
 from primeforest.primes import is_prime
 from primeforest.tree_core import (
@@ -64,6 +65,12 @@ def test_encode_zero():
     for m in (0, -3):
         with pytest.raises(ZeroInput):
             encode_integer(m)
+
+
+def test_encode_refuses_a_float_past_the_small_trees():
+    # factor takes integers only, so no float reaches its arithmetic
+    with pytest.raises(DomainError, match="not an integer"):
+        encode_integer(200.0)
 
 
 def test_integer_roundtrip_range():

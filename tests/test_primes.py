@@ -1,7 +1,9 @@
 import random
 import subprocess
-from array import array
 import sys
+import time
+from bisect import bisect_right
+from math import log
 from pathlib import Path
 
 import pytest
@@ -9,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primeforest import primes
-from primeforest.codec import factor
-from primeforest.errors import SizeOverBudget
+from primeforest.codec import SPLIT_STEPS, factor
+from primeforest.errors import DomainError, NotPrime, SizeOverBudget
 from primeforest.primes import (
     _MR_PLAN,
     MR_BOUND,
-    TABLE_CAP,
+    PRIME_CAP,
+    SMALL_PRIMES,
+    _prime_count,
     _proven_composite,
     is_prime,
     prime_by_index,
@@ -66,10 +70,14 @@ def test_cold_growth_ascending_index_of():
 
 
 def test_cold_prime_by_index_past_the_top():
-    run_cold("ref = eratosthenes(10 ** 6)\n"
+    run_cold("import random\n"
+             "ref = eratosthenes(10 ** 6)\n"
              "assert primes.prime_by_index(9_591) == ref[9_591]\n"
              "assert primes.prime_by_index(78_497) == ref[78_497]\n"
-             "assert [primes.prime_by_index(k) for k in range(len(ref))] == ref\n")
+             "n = len(primes.SMALL_PRIMES)\n"
+             "assert [primes.prime_by_index(k) for k in range(n)] == ref[:n]\n"
+             "for k in random.Random(21).sample(range(n, len(ref)), 1_000):\n"
+             "    assert primes.prime_by_index(k) == ref[k], k\n")
 
 
 def test_is_prime_above_the_table_matches_eratosthenes():
@@ -77,8 +85,7 @@ def test_is_prime_above_the_table_matches_eratosthenes():
     run_cold("ref = set(eratosthenes(2 * 10 ** 5))\n"
              "bad = [n for n in range(-5, 2 * 10 ** 5)\n"
              "       if primes.is_prime(n) != (n in ref)]\n"
-             "assert not bad, bad[:10]\n"
-             "assert primes._top == 13\n")
+             "assert not bad, bad[:10]\n")
 
 
 def test_labels_leave_the_table_cold():
@@ -87,8 +94,7 @@ def test_labels_leave_the_table_cold():
              "out = io.StringIO()\n"
              "assert cli.run(['encode', '1000000000039'], out=out) == 0\n"
              "assert cli.run(['decode', '(r (99999989))'], out=out) == 0\n"
-             "assert out.getvalue() == '(r (1000000000039))\\n99999989\\n'\n"
-             "assert list(primes.table_primes()) == [2, 3, 5, 7, 11, 13]\n")
+             "assert out.getvalue() == '(r (1000000000039))\\n99999989\\n'\n")
 
 
 def test_is_prime_against_the_table():
@@ -104,13 +110,12 @@ def test_index_roundtrip(k):
 
 
 def test_is_prime_reads_no_table(monkeypatch):
-    monkeypatch.setattr(primes, "_primes", array("i"))
-    monkeypatch.setattr(primes, "_top", 0)
+    monkeypatch.setattr(primes, "SMALL_PRIMES", ())
     assert [n for n in range(-5, 2000) if is_prime(n)] == eratosthenes(2000)
 
 
 def test_rejects_non_primes():
-    big = 100_000_007                    # the least prime above TABLE_CAP
+    big = 100_000_007                    # the least prime above PRIME_CAP
     for n in (0, 1, -1, -2, -7, 4, 9, 15, 49, 999_983 ** 2, 3_215_031_751,
               big ** 2, big * 100_000_037, 2 ** 89 - 3):
         assert not is_prime(n), n
@@ -137,12 +142,12 @@ def test_past_the_cap():
     big = 100_000_007
     with pytest.raises(SizeOverBudget) as info:
         prime_index_of(big)
-    assert (info.value.requested, info.value.cap) == (big, TABLE_CAP)
+    assert (info.value.requested, info.value.cap) == (big, PRIME_CAP)
     with pytest.raises(SizeOverBudget) as info:
         prime_by_index(10 ** 7)
-    assert (info.value.requested, info.value.cap) == (10 ** 7, TABLE_CAP)
+    assert (info.value.requested, info.value.cap) == (10 ** 7, PRIME_CAP)
     with pytest.raises(SizeOverBudget):
-        primes_upto(TABLE_CAP + 1)
+        primes_upto(PRIME_CAP + 1)
     assert is_prime(big) and is_prime(10 ** 12 + 39)
 
 
@@ -181,5 +186,85 @@ def test_factor_against_sympy():
                * sympy.nextprime(rng.randint(10 ** 5, 10 ** 6))
                for _ in range(20)]
     inputs += [2 ** 39, 999_983 ** 2, 10 ** 12 + 39, 2 * (10 ** 12 + 39)]
+    # 60-bit semiprimes: Pollard-Brent splits what trial division leaves
+    inputs += [sympy.nextprime(rng.getrandbits(30) | 1 << 29)
+               * sympy.nextprime(rng.getrandbits(30) | 1 << 29)
+               for _ in range(20)]
     for m in inputs:
         assert factor(m) == sorted(sympy.factorint(m).items()), m
+
+
+def test_prime_count_matches_eratosthenes():
+    rng = random.Random(31)
+    points = [1, 2, 3, 4, 255, 256, 65_520, 65_521, 65_536, 65_537, 10 ** 6]
+    points += [rng.randint(1, 10 ** 6) for _ in range(300)]
+    for x in points:
+        assert _prime_count(x) == bisect_right(ORACLE, x), x
+    assert _prime_count(10 ** 8) == 5_761_455
+    # 65,521 is the last of SMALL_PRIMES and 65,537 the first prime past it
+    assert prime_index_of(65_521) == len(SMALL_PRIMES) - 1 == 6_541
+    assert prime_index_of(65_537) == 6_542
+    assert prime_index_of(99_999_989) == 5_761_454
+
+
+def test_prime_by_index_at_the_edges_of_the_dusart_window():
+    # p_n lies in (n(ln n + ln ln n - 1), n(ln n + ln ln n)), n = k + 1;
+    # check the k whose prime lies nearest either end of it
+    def room(k):
+        n = k + 1
+        upper = n * (log(n) + log(log(n)))
+        return ORACLE[k] - (upper - n), upper - ORACLE[k]
+
+    ks = range(len(SMALL_PRIMES), len(ORACLE))
+    low = min(ks, key=lambda k: room(k)[0])
+    high = min(ks, key=lambda k: room(k)[1])
+    assert room(low)[0] > 0 and room(high)[1] > 0
+    edges = {low, high, len(SMALL_PRIMES) - 1, len(SMALL_PRIMES),
+             len(ORACLE) - 1}
+    for k in edges:
+        assert prime_by_index(k) == ORACLE[k], k
+    # 99,999,989 is the last prime below the cap and 100,000,007 the next
+    assert prime_by_index(5_761_454) == 99_999_989
+    with pytest.raises(SizeOverBudget) as info:
+        prime_by_index(5_761_455)
+    assert (info.value.requested, info.value.cap) == (5_761_455, PRIME_CAP)
+
+
+def test_factor_past_the_small_primes():
+    big = 100_000_007
+    cases = {
+        big ** 2: [(big, 2)],
+        65_537 ** 3: [(65_537, 3)],
+        65_521 * 65_537: [(65_521, 1), (65_537, 1)],
+        2 ** 5 * 65_537 ** 2 * big: [(2, 5), (65_537, 2), (big, 1)],
+        65_537 * big * 1_000_000_007: [(65_537, 1), (big, 1),
+                                       (1_000_000_007, 1)],
+        1_000_003 * 1_000_033 * 1_000_037: [(1_000_003, 1), (1_000_033, 1),
+                                            (1_000_037, 1)],
+        (2 ** 31 - 1) ** 2 * (2 ** 61 - 1): [(2 ** 31 - 1, 2),
+                                             (2 ** 61 - 1, 1)],
+    }
+    for m, expected in cases.items():
+        assert factor(m) == expected, m
+
+
+def test_a_split_past_the_budget_is_refused_quickly():
+    # two Mersenne primes: Pollard-Brent would need about 2^30 steps
+    start = time.perf_counter()
+    with pytest.raises(SizeOverBudget) as info:
+        factor((2 ** 61 - 1) * (2 ** 89 - 1))
+    assert time.perf_counter() - start < 5
+    assert info.value.cap == SPLIT_STEPS < info.value.requested
+
+
+def test_number_theory_takes_integers_only():
+    for fn in (is_prime, prime_by_index, prime_index_of, primes_upto, factor):
+        for bad in (7.0, 12.0, 1.5, "7", None):
+            with pytest.raises(DomainError, match="not an integer"):
+                fn(bad)
+    assert issubclass(DomainError, ValueError)
+    with pytest.raises(NotPrime):
+        prime_index_of(8)
+    for fn, arg in ((prime_by_index, -1), (factor, 0)):
+        with pytest.raises(DomainError):
+            fn(arg)
