@@ -67,6 +67,16 @@ def test_encode_refuses_negative_rationals():
         assert "error:" in err
 
 
+def test_a_label_past_the_bit_cap_exits_1():
+    # 4,064 digits with no factor below 2^16: refused before any
+    # Miller-Rabin base runs
+    huge = str(((2 ** 61 - 1) * (2 ** 89 - 1)) ** 90)
+    for argv in (("encode", huge), ("decode", f"(r ({huge}))")):
+        code, out, err = run_cli(*argv, timeout=5)
+        assert (code, out) == (1, ""), argv[0]
+        assert "error:" in err and "Traceback" not in err
+
+
 def test_decode_integer():
     code, out, _ = invoke("decode", "(r (2 (2)) (3))")
     assert code == 0

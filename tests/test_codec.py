@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -68,9 +69,27 @@ def test_encode_zero():
 
 
 def test_encode_refuses_a_float_past_the_small_trees():
-    # factor takes integers only, so no float reaches its arithmetic
+    # both encoders take integers only, so no float reaches the small-tree
+    # index, gcd or factor's arithmetic
+    for encode, value in ((encode_integer, 200.0), (encode_integer, 14.0),
+                          (encode_rational, 2.0)):
+        with pytest.raises(DomainError, match="not an integer"):
+            encode(value)
     with pytest.raises(DomainError, match="not an integer"):
-        encode_integer(200.0)
+        encode_rational(3, 2.0)
+
+
+def test_labels_past_the_bit_cap_are_refused_quickly():
+    # 4,064 digits with no factor below 2^16: no Miller-Rabin base runs
+    huge = ((2 ** 61 - 1) * (2 ** 89 - 1)) ** 90
+    for refuse in (lambda: encode_integer(huge),
+                   lambda: encode_rational(huge, 7),
+                   lambda: parse_sexpr(f"(r ({huge}))"),
+                   lambda: parse_sexpr(f"(r (1/{huge}))")):
+        start = time.perf_counter()
+        with pytest.raises(SizeOverBudget):
+            refuse()
+        assert time.perf_counter() - start < 1
 
 
 def test_integer_roundtrip_range():

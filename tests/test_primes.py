@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primeforest import primes
+from primeforest import codec, primes
 from primeforest.codec import SPLIT_STEPS, factor
 from primeforest.errors import DomainError, NotPrime, SizeOverBudget
 from primeforest.primes import (
     _MR_PLAN,
+    MR_BIT_CAP,
     MR_BOUND,
     PRIME_CAP,
     SMALL_PRIMES,
@@ -98,6 +99,7 @@ def test_labels_leave_the_table_cold():
 
 
 def test_is_prime_against_the_table():
+    # spans 2^16, where the SMALL_PRIMES bisect hands over to Miller-Rabin
     primes_upto(10 ** 6)
     ref = set(ORACLE)
     assert all(is_prime(n) == (n in ref) for n in range(-5, 10 ** 6))
@@ -109,9 +111,11 @@ def test_index_roundtrip(k):
     assert prime_index_of(prime_by_index(k)) == k
 
 
-def test_is_prime_reads_no_table(monkeypatch):
-    monkeypatch.setattr(primes, "SMALL_PRIMES", ())
-    assert [n for n in range(-5, 2000) if is_prime(n)] == eratosthenes(2000)
+def test_miller_rabin_alone_matches_eratosthenes():
+    # below 2^16 is_prime reads SMALL_PRIMES; the Miller-Rabin path, which
+    # never reads it, must agree with the sieve there too
+    assert ([n for n in range(2, 2000) if not _proven_composite(n)]
+            == eratosthenes(2000))
 
 
 def test_rejects_non_primes():
@@ -246,6 +250,79 @@ def test_factor_past_the_small_primes():
     }
     for m, expected in cases.items():
         assert factor(m) == expected, m
+
+
+def _trial_division(m):
+    """The factorization of m >= 1 by every d >= 2 while d * d <= m."""
+    out, d = [], 2
+    while d * d <= m:
+        e = 0
+        while m % d == 0:
+            m //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1
+    return out + [(m, 1)] * (m > 1)
+
+
+def _factor_seam_inputs():
+    """Inputs at the seams of factor: seeded 32-bit primes, semiprimes of
+    two primes near 2^16, values whose only prime below 2^16 lies in the
+    last block of 32 (or fewer) of SMALL_PRIMES, and 2^32 - 5."""
+    rng = random.Random(22)
+
+    def prime_from(n):
+        while not is_prime(n):
+            n += 1
+        return n
+
+    big = [prime_from(rng.randrange(1 << 31, 1 << 32)) for _ in range(8)]
+    near = [prime_from(rng.randrange(60_000, 70_000)) for _ in range(12)]
+    last = SMALL_PRIMES[len(SMALL_PRIMES) // 32 * 32:]
+    inputs = big + [p * q for p, q in zip(near[::2], near[1::2])]
+    inputs += [p * prime_from(rng.randrange(1 << 16, 1 << 20)) for p in last]
+    inputs += [last[0] ** 3 * big[0], last[-1] * big[1]]
+    return inputs + [2 ** 32 - 5]
+
+
+def test_factor_matches_trial_division_at_the_seams():
+    for m in _factor_seam_inputs():
+        assert factor(m) == _trial_division(m), m
+    for m in range(1, 3000):
+        assert factor(m) == _trial_division(m), m
+
+
+def test_factor_against_sympy_at_the_seams():
+    sympy = pytest.importorskip("sympy")
+    for m in _factor_seam_inputs():
+        assert factor(m) == sorted(sympy.factorint(m).items()), m
+
+
+def test_a_square_is_split_without_pollard_brent(monkeypatch):
+    # with no Pollard-Brent steps allowed, only isqrt can split these
+    monkeypatch.setattr(codec, "SPLIT_STEPS", 0)
+    big = 100_000_007
+    assert factor(big ** 2) == [(big, 2)]
+    assert factor(3 * (2 ** 61 - 1) ** 2) == [(3, 1), (2 ** 61 - 1, 2)]
+    assert factor(big ** 4) == [(big, 4)]
+    with pytest.raises(SizeOverBudget):
+        factor(big * 100_000_037)
+
+
+def test_primality_past_the_bit_cap_is_refused_quickly():
+    # 13,500 bits with no factor below 2^16: one Miller-Rabin base there
+    # takes seconds, so no base runs
+    huge = ((2 ** 61 - 1) * (2 ** 89 - 1)) ** 90
+    for fn in (is_prime, prime_index_of, factor):
+        start = time.perf_counter()
+        with pytest.raises(SizeOverBudget) as info:
+            fn(huge)
+        assert time.perf_counter() - start < 1
+        assert (info.value.requested, info.value.cap) == (13_500, MR_BIT_CAP)
+    # a base prime factor still answers at any size
+    assert not is_prime(3 * huge)
+    assert factor(2 ** 20_000) == [(2, 20_000)]
 
 
 def test_a_split_past_the_budget_is_refused_quickly():
