@@ -1,9 +1,14 @@
 """Canonical prime-labeled rooted trees.
 
 A tree is a tuple of (Label, subtree) branches hanging from an implicit,
-unlabeled root.  Construction checks in one pass that the branches come in
-canonical order, sorts only input that does not, and rejects any labeling
-a valid tree cannot carry, so structural equality is semantic equality.
+unlabeled root.  Construction checks the branches in one loop: canonical
+order, distinct primes, no inverted label below the root.  It sorts only
+input that is out of order, and rejects any labeling a valid tree cannot
+carry, so structural equality is semantic equality.
+A tree hashes its branches when something first hashes it (a set, a
+Forest, ==), if every subtree already had its hash when it was built;
+otherwise it hashes at once.  So a first hash reads one level of branches
+and never walks, and listed trees that nothing hashes cost no hash.
 A Label carries its prime itself, so building, printing and evaluating a
 tree never ask for a prime's index; only label_tree, which means "the
 k-th prime", does.  Labels of the primes below 2^10 come from a fixed
@@ -23,6 +28,7 @@ from .errors import MisplacedInverse, ParseError, SiblingCollision
 from .primes import SMALL_PRIMES, is_prime, prime_by_index
 
 MAX_DEPTH = 200
+_BELOW = float("-inf")  # below every prime: any first label is in order
 
 
 class Label(NamedTuple):
@@ -50,8 +56,12 @@ class Label(NamedTuple):
 class Tree:
     """Immutable rooted tree with canonically ordered, distinct-labeled branches.
 
-    The constructor checks the branch order in one pass and sorts only
-    out-of-order input; either way it checks every label.
+    The constructor checks every branch in one loop and sorts only
+    out-of-order input, which then goes through the loop once more, so the
+    first fault in canonical order is the one raised.  The hash waits in
+    _hash (None) until its first use when every subtree already has its
+    own; otherwise the constructor hashes at once, so a tree with its hash
+    deferred never has a subtree whose hash is deferred too.
     """
 
     # _text is unset until to_sexpr keeps the tree's printed branches there
@@ -59,46 +69,49 @@ class Tree:
 
     def __init__(self, branches=()):
         branches = tuple(branches)
-        seen = None         # the primes so far, kept only where one can repeat
-        if len(branches) > 1:
-            # callers mostly pass canonical order already: check in one
-            # pass that (inverted, prime) strictly ascends, and sort only
-            # input where it does not
-            label = branches[0][0]
-            inverted, prime = label.inverted, label.prime
-            for label, _ in branches[1:]:
+        resorted = False
+        while True:
+            inverted, prime = False, _BELOW     # the label before, as a rank
+            plain = ()      # the plain primes, once an inverted label follows
+            height = 0
+            hashed = True   # every subtree has its hash
+            for label, sub in branches:
+                p = label.prime
                 if label.inverted == inverted:
-                    if label.prime > prime:
-                        prime = label.prime
-                        continue
+                    if p <= prime:
+                        break           # out of order, or a repeated prime
                 elif inverted < label.inverted:
-                    inverted, prime = label.inverted, label.prime
-                    continue
-                branches = tuple(sorted(branches,
-                                         key=lambda b: b[0].sort_rank))
-                seen = set()
-                break
+                    if prime != _BELOW:
+                        plain = {b[0].prime for b in branches
+                                 if not b[0].inverted}
+                    inverted = label.inverted
+                else:
+                    break               # a plain label after an inverted one
+                if p in plain:
+                    break   # both signs of one prime: an unreduced rational
+                if sub.branches and sub.branches[-1][0].inverted:
+                    break
+                prime = p
+                if sub.height >= height:
+                    height = sub.height + 1
+                if sub._hash is None:
+                    hashed = False
             else:
-                # in strict order a prime repeats only under both signs: a
-                # plain and an inverted branch, which would evaluate to an
-                # unreduced rational
-                if inverted != branches[0][0].inverted:
-                    seen = set()
-        height = 0
-        for label, sub in branches:
-            if seen is not None:
-                if label.prime in seen:
+                _SET_BRANCHES(self, branches)
+                _SET_HEIGHT(self, height)
+                _SET_HASH(self, None if hashed else hash(branches))
+                return
+            if resorted:
+                # the branch the sorted input stopped at holds its first fault
+                if label.prime == prime or label.prime in plain:
                     raise SiblingCollision(
                         f"sibling labels repeat the prime {label.prime}")
-                seen.add(label.prime)
-            if sub.branches and sub.branches[-1][0].inverted:
                 raise MisplacedInverse(
                     f"inverted label below vertex {label.text}")
-            if sub.height >= height:
-                height = sub.height + 1
-        _SET_BRANCHES(self, branches)
-        _SET_HEIGHT(self, height)
-        _SET_HASH(self, hash(branches))
+            # a fault in unsorted input may not be the first in canonical
+            # order, so any stop sorts the input and checks it once more
+            branches = tuple(sorted(branches, key=lambda b: b[0].sort_rank))
+            resorted = True
 
     def __setattr__(self, name, value):
         raise AttributeError("Tree is immutable")
@@ -133,11 +146,17 @@ class Tree:
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Tree)
-                                 and self._hash == other._hash
+                                 and hash(self) == hash(other)
                                  and _cmp(self, other) == 0)
 
     def __hash__(self):
-        return self._hash
+        # __init__ defers the hash only when every subtree already has its
+        # own, so the first hash here reads one level of branches: no walk
+        h = self._hash
+        if h is None:
+            h = hash(self.branches)
+            _SET_HASH(self, h)
+        return h
 
     def __lt__(self, other):
         if not isinstance(other, Tree):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from primeforest import tree_core
 from primeforest.codec import encode_integer, encode_rational
 from primeforest.errors import MisplacedInverse, ParseError, SiblingCollision
-from primeforest.generator import g_forest
+from primeforest.generator import g_count, g_forest, g_trees
 from primeforest.rationals import rational_tree_stream
 from primeforest.tree_core import (
     MAX_DEPTH,
@@ -417,6 +417,35 @@ def test_printing_shared_subtrees_in_any_order_matches_the_reference(trees):
         assert to_sexpr(t) == _reference_sexpr(t)
 
 
+def _raw(t):
+    return [(label.text, _raw(sub)) for label, sub in t.branches]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees_over_shared_subtrees(), st.data())
+def test_hashing_shared_subtrees_in_any_order_matches_a_rebuild(trees, data):
+    # a tree's hash waits for its first use; hash some of the trees, in
+    # any order, parents before or after their subtrees
+    hashed = data.draw(st.lists(st.booleans(), min_size=len(trees),
+                                max_size=len(trees)))
+    first = [hash(t) for t, h in zip(trees, hashed) if h]
+    rebuilt = [validate(_raw(t)) for t in trees]
+    assert first == [hash(r) for r, h in zip(rebuilt, hashed) if h]
+    assert [hash(t) for t in trees] == [hash(r) for r in rebuilt]
+    assert trees == rebuilt
+    assert (len(set(trees)) == len(set(rebuilt)) == len(set(trees + rebuilt))
+            == len(set(map(to_sexpr, trees))))
+
+
+def test_listing_hashes_none_of_the_tallest_trees():
+    # g_trees hashes the lower forest, so every height-2 tree is built over
+    # hashed subtrees and keeps its hash deferred
+    tall = [t for t in g_trees(4, 2) if t.height == 2]
+    assert len(tall) == g_count(4, 2) - g_count(4, 1)
+    assert all(t._hash is None for t in tall)
+    assert hash(tall[-1]) == hash(tall[-1].branches) == tall[-1]._hash
+
+
 def test_printing_keeps_text_in_proportion_to_the_print():
     t = _chain(5000)
     tracemalloc.start()
@@ -535,6 +564,14 @@ def test_construction_faults_match_the_reference(rng):
     with pytest.raises(SiblingCollision):
         Tree([(Label(2), SINGLETON), (Label(3), SINGLETON),
               (Label(2, True), inverted_below)])
+    # the misplaced inverse comes first in the input but not in canonical
+    # order, so it must not be raised before the input is sorted
+    with pytest.raises(SiblingCollision, match="repeat the prime 2$"):
+        Tree([(Label(3), inverted_below), (Label(2), SINGLETON),
+              (Label(2), SINGLETON)])
+    with pytest.raises(MisplacedInverse, match="below vertex 3$"):
+        Tree([(Label(3), inverted_below), (Label(2), SINGLETON),
+              (Label(2, True), SINGLETON)])
 
 
 def test_every_branch_order_builds_the_sorted_tree(rng):
