@@ -91,25 +91,35 @@ def _attach_at_leaves(subs, member):
 def ordered_trees(labels, subs, height):
     """Yield, in canonical order, every tree of exactly `height` >= 1 whose
     branches pair distinct-prime `labels` (ascending sort_rank) with
-    subtrees from `subs` (canonical order, each below `height`).  The order
-    is height, arity, then branch by branch the label and the subtree, so
-    picking each position's label and then its subtree lists them sorted.
+    subtrees from `subs`, each below `height`.  The order is height, arity,
+    then branch by branch the label and the subtree, so picking each
+    position's label and then its subtree lists them sorted.  subs must be
+    in canonical order, which sorts by height first, so its tall subtrees,
+    of height `height` - 1, are a suffix.  A recursive walk picks all but
+    the last branch; the last is added per run, one run of subtrees per
+    label left: all of subs after a prefix holding a tall subtree, else
+    the tall suffix.
     """
-    tall = [sub.height == height - 1 for sub in subs]
+    subs = tuple(subs)      # stage_trees passes a Forest, which has no index
+    cut = bisect_left(subs, height - 1, key=lambda sub: sub.height)
     # each (label, sub) pair is built once and shared by every tree using it
     pairs = [[(label, sub) for sub in subs] for label in labels]
 
-    def fill(arity, rest, prefix, has_tall):
+    def prefixes(arity, rest, prefix, has_tall):
         # rest: indices of the labels whose primes are still free, ascending
-        for n, i in enumerate(rest[:len(rest) - arity + 1]):
+        if not arity:
+            yield prefix, has_tall, rest
+            return
+        for n, i in enumerate(rest[:len(rest) - arity]):
             later = [j for j in rest[n + 1:]
                      if labels[j].prime != labels[i].prime]
-            for pair, is_tall in zip(pairs[i], tall):
-                if arity > 1:
-                    yield from fill(arity - 1, later, prefix + (pair,),
-                                    has_tall or is_tall)
-                elif has_tall or is_tall:
-                    yield Tree(prefix + (pair,))
+            for k, pair in enumerate(pairs[i]):
+                yield from prefixes(arity - 1, later, prefix + (pair,),
+                                    has_tall or k >= cut)
 
     for arity in range(1, len({label.prime for label in labels}) + 1):
-        yield from fill(arity, range(len(labels)), (), False)
+        for prefix, has_tall, rest in prefixes(arity - 1, range(len(labels)),
+                                               (), False):
+            for j in rest:
+                run = pairs[j] if has_tall else pairs[j][cut:]
+                yield from [Tree(prefix + (pair,)) for pair in run]

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 
 import pytest
@@ -8,10 +9,13 @@ from primeforest.errors import SiblingCollision
 from primeforest.forest_algebra import (
     Forest,
     graft_forests,
+    ordered_trees,
     raise_forest,
 )
-from primeforest.generator import g_forest
-from primeforest.tree_core import SINGLETON, label_tree, to_sexpr, validate
+from primeforest.generator import g_forest, g_trees
+from primeforest.primes import first_primes
+from primeforest.tree_core import (
+    SINGLETON, Label, Tree, label_tree, to_sexpr, validate)
 
 
 def test_forest_dedupes_and_orders():
@@ -111,3 +115,57 @@ def test_trees_and_forests_copy_and_pickle(copier):
     for x in (encode_rational(8, 9), forest.trees[-1], forest):
         y = copier(x)
         assert y == x and hash(y) == hash(x) and texts(y) == texts(x)
+
+
+def _labels(n, signed):
+    # ascending sort_rank: every plain label before every inverted one
+    return [Label(p, inverted) for inverted in (False, True)[:1 + signed]
+            for p in first_primes(n)]
+
+
+def _reference(labels, subs, height):
+    """Every product of distinct-prime labels and subtrees of exactly
+    `height`, sorted."""
+    out = []
+    for k in range(1, len(labels) + 1):
+        for picked in itertools.combinations(labels, k):
+            if len({label.prime for label in picked}) == k:
+                out += (Tree(zip(picked, combo))
+                        for combo in itertools.product(subs, repeat=k))
+    return sorted(t for t in out if t.height == height)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("height", [1, 2, 3])
+def test_ordered_trees_matches_the_reference(n, height, signed):
+    labels = _labels(n, signed)
+    subs = g_forest(n, height - 1).trees
+    if (n, height) == (3, 3):
+        # G(3, 2)'s 729 trees are too many for the reference: keep a
+        # canonical-order sample of every height below 3
+        subs = subs[:8:3] + subs[8::60]
+    listed = list(ordered_trees(labels, subs, height))
+    assert listed and listed == _reference(labels, subs, height)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_ordered_trees_needs_a_subtree_one_below_the_height(signed):
+    labels = _labels(2, signed)
+    subs = g_forest(2, 1).trees
+    assert _reference(labels, subs, 3) == []
+    assert list(ordered_trees(labels, subs, 3)) == []
+
+
+def test_ordered_trees_over_one_label_is_the_tower():
+    chain = SINGLETON
+    for height in range(1, 31):
+        subs = g_forest(1, height - 1).trees
+        chain = Tree(((Label(2), chain),))
+        assert list(ordered_trees([Label(2)], subs, height)) == [chain]
+
+
+def test_listed_trees_share_their_branch_pairs():
+    # each (label, subtree) pair is one object, whichever tree holds it
+    tall = [t for t in g_trees(4, 2) if t.height == 2]
+    assert len({id(branch) for t in tall for branch in t.branches}) == 4 * 16
