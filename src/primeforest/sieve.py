@@ -2,24 +2,26 @@
 
 All composites in (q, 2q] factor over primes <= q, and by the first
 bijection each is the value of exactly one tree over those labels.  So
-the sieve walks values, not trees: it marks, in a window up to 2q, every
-product of prime powers over the primes <= q, depth first, and reads the
-primes off as the midpoints of marked pairs at distance 2.  Each value
-is marked once: a value the walk goes on from is checked at once, and
-the leaves, the bulk of the marks, by one count of the flags at the end.
-An exponent is itself a tree's value over the same labels, so the
-exponents come from bounded_value_trees.  Trees are built, by
-encode_integer, only for composites_in_window
-(`sieve --show-composites`).  The gap scan runs from q to 2q: both ends
-are marked (q = q^1, and the composite 2q), so it sees a prime at q + 1
-or 2q - 1.
+the sieve builds values, not trees: it marks, in a window up to 2q, every
+product of prime powers over the primes <= q, and reads the primes off
+as the midpoints of marked pairs at distance 2.  The products are
+grafted one label at a time, as literal_fixpoint_sieve grafts forests,
+but over the window's flags: each label ORs the products before it into
+the strided slices of its powers.  Each value is marked once, which one
+count of the flags checks at the end.  An exponent is itself a tree's
+value over the same labels, so the exponents come from
+bounded_value_trees.  Trees are built, by encode_integer, only for
+composites_in_window (`sieve --show-composites`).  The gap scan runs
+from q to 2q: both ends are marked (q = q^1, and the composite 2q), so
+it sees a prime at q + 1 or 2q - 1.
 
 Both sieves refuse q above a fixed cap (SizeOverBudget): the window costs
-2q bytes and the walk about 2q steps, and the fixpoint form grows much
-faster.
+2q bytes, the slices of the labels below sqrt(2q) copy a few times that
+between them, and the fixpoint form grows much faster.
 """
 
 from bisect import bisect_right
+from math import isqrt
 
 from .codec import OVER_BOUND, _max_exponent, encode_integer, eval_bounded
 from .errors import DomainError, NotPrime, SizeOverBudget
@@ -28,7 +30,7 @@ from .generator import bounded_value_trees
 from .primes import is_prime, primes_upto
 from .tree_core import label_tree
 
-# `sieve 3999971` takes about 2 s and 44 MB peak RSS (Python 3.11, 2 vCPU)
+# `sieve 3999971` takes about 1 s and 45 MB peak RSS (Python 3.11, 2 vCPU)
 SIEVE_CAP = 4 * 10 ** 6
 # literal_fixpoint_sieve takes about 3 s at q = 211 and 19 s at q = 509
 FIDELITY_CAP = 211
@@ -75,9 +77,13 @@ def _composite_flags(q):
     """bytearray(2q + 1) with flags[v] = 1 exactly for the v <= 2q whose
     prime factors are all <= q (the window's composites among them).
 
-    Each value is reached once, as v times a prime power of a larger
-    prime; a value reached twice would break the bijection and raises
-    DomainError, at once if the walk would go on from it.
+    Grafted one label at a time: with the products over the primes before
+    p flagged, those times p^e are OR-ed in through the slice of step p^e.
+    A prime p above isqrt(2q) takes exponent 1 only, and every m <= 2q/p
+    is below p and so already a product: its marks are all such m * p.
+    Distinct marks set distinct flags, so a count of the flags short of
+    the marks means a value reached twice, which would break the
+    bijection and raises DomainError.
     """
     primes = primes_upto(q)
     limit = 2 * q
@@ -86,35 +92,30 @@ def _composite_flags(q):
     exponents = sorted(e for e, _ in bounded_value_trees(
         range(bisect_right(primes, bits)), bits))
     flags = bytearray(limit + 1)
-    marks = 0
-
-    def walk(v, i):
-        # v times the prime powers of primes[i:], each times what follows
-        nonlocal marks
-        for j in range(i, len(primes)):
-            p = primes[j]
-            if v * p * p > limit:
-                # no square of p fits, nor v * p times a larger prime: the
-                # rest are the leaves v * p, checked by the count below
-                leaves = primes[j:bisect_right(primes, limit // v)]
-                for r in leaves:
-                    flags[v * r] = 1
-                marks += len(leaves)
-                return
-            for e in exponents:
-                w = v * p ** e
-                if w > limit:
-                    break
-                if flags[w]:
-                    raise DomainError(f"the value {w} is reached twice")
-                flags[w] = 1
-                marks += 1
-                walk(w, j + 1)
-
-    walk(1, 0)
-    # distinct marks set distinct flags, so a shortfall is a duplicate leaf
+    flags[1] = 1  # the empty product
+    marks = 1
+    root = isqrt(limit)
+    ones = b"\x01" * (root + 1)
+    for p in primes:
+        if p > root:
+            n = limit // p
+            flags[p:n * p + 1:p] = ones[:n]
+            marks += n
+            continue
+        below = flags[:limit // p + 1]
+        for e in exponents:
+            step = p ** e
+            if step > limit:
+                break
+            n = limit // step + 1
+            stride = slice(0, (n - 1) * step + 1, step)
+            flags[stride] = (int.from_bytes(flags[stride], "little")
+                             | int.from_bytes(below[:n], "little")
+                             ).to_bytes(n, "little")
+            marks += below.count(1, 0, n)
     if flags.count(1) != marks:
-        raise DomainError("a leaf value is reached twice")
+        raise DomainError("a value is reached twice")
+    flags[1] = 0
     return flags
 
 

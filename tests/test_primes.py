@@ -50,12 +50,12 @@ def test_primes_upto_matches_eratosthenes():
         assert primes_upto(n) == [p for p in ORACLE if p <= n]
 
 
-def test_cold_growth_one_jump():
+def test_cold_index_of_and_primes_upto_a_million():
     run_cold("assert primes.prime_index_of(999_983) == 78_497\n"
              "assert primes.primes_upto(10 ** 6) == eratosthenes(10 ** 6)\n")
 
 
-def test_cold_growth_ascending_index_of():
+def test_cold_index_of_ascending_below_10_5():
     run_cold("ref = set(eratosthenes(10 ** 5))\n"
              "k = 0\n"
              "for n in range(10 ** 5):\n"
@@ -82,7 +82,7 @@ def test_cold_prime_by_index_past_the_top():
              "    assert primes.prime_by_index(k) == ref[k], k\n")
 
 
-def test_is_prime_above_the_table_matches_eratosthenes():
+def test_cold_is_prime_matches_eratosthenes():
     # is_prime is Miller-Rabin alone: it neither reads nor grows the table
     run_cold("ref = set(eratosthenes(2 * 10 ** 5))\n"
              "bad = [n for n in range(-5, 2 * 10 ** 5)\n"
@@ -90,7 +90,7 @@ def test_is_prime_above_the_table_matches_eratosthenes():
              "assert not bad, bad[:10]\n")
 
 
-def test_labels_leave_the_table_cold():
+def test_cold_encode_and_decode_of_large_primes():
     run_cold("import io\n"
              "from primeforest import cli\n"
              "out = io.StringIO()\n"
@@ -99,7 +99,7 @@ def test_labels_leave_the_table_cold():
              "assert out.getvalue() == '(r (1000000000039))\\n99999989\\n'\n")
 
 
-def test_is_prime_against_the_table():
+def test_is_prime_matches_eratosthenes_to_a_million():
     # spans 2^16, where the SMALL_PRIMES bisect hands over to Miller-Rabin
     ref = set(ORACLE)
     assert all(is_prime(n) == (n in ref) for n in range(-5, 10 ** 6))

@@ -102,12 +102,36 @@ def test_a_value_reached_twice_is_refused(monkeypatch):
 
 
 def test_a_leaf_reached_twice_is_refused(monkeypatch):
-    # a repeated largest prime reaches each v * 13 twice, only as a leaf,
-    # which the count of marks catches after the walk
+    # a repeated largest prime writes each m * 13 twice, in the direct
+    # writes above isqrt(2q), which the count of marks catches at the end
     monkeypatch.setattr(sieve, "primes_upto",
                         lambda n: [2, 3, 5, 7, 11, 13, 13])
     with pytest.raises(DomainError, match="reached twice"):
         combinatorial_sieve(13)
+
+
+@pytest.mark.parametrize("primes", [[2, 2, 3, 5, 7, 11, 13],
+                                    [2, 3, 3, 5, 7, 11, 13]])
+def test_a_repeated_small_prime_is_refused(monkeypatch, primes):
+    # a repeated prime below isqrt(2q) reaches its multiples twice in the
+    # OR of the strided slices
+    monkeypatch.setattr(sieve, "primes_upto", lambda n: primes)
+    with pytest.raises(DomainError, match="reached twice"):
+        combinatorial_sieve(13)
+
+
+def test_composite_flags_match_an_oracle():
+    # flags[v] is set for every v >= 2 up to 2q except the window's primes
+    rng = random.Random(27)
+    seeded = [10 ** 6] + [rng.randrange(10 ** 4, 10 ** 6) for _ in range(3)]
+    qs = eratosthenes(3000) + [next(k for k in range(n, 1, -1) if is_prime(k))
+                               for n in seeded]
+    for q in qs:
+        expected = bytearray(2) + b"\x01" * (2 * q - 1)
+        for p in eratosthenes(2 * q):
+            if p > q:
+                expected[p] = 0
+        assert sieve._composite_flags(q) == expected, q
 
 
 def test_composites_trees_evaluate_back():
