@@ -1,10 +1,12 @@
-"""Duplicate-free forests, the two forest operators (grafting and raising)
-and the canonical-order enumerator of trees of one height."""
+"""Duplicate-free forests, ordered_trees (the canonical enumerator the
+library lists through) and the paper's operators: graft_forests,
+raise_forest and Forest.union, kept with tree_core.singleton() as public
+exports, the tests' oracles and the bench's forest probe."""
 
 from bisect import bisect_left
 
 from .errors import SiblingCollision
-from .tree_core import SINGLETON, Tree, graft, to_sexpr
+from .tree_core import SINGLETON, Tree, _equal, graft, to_sexpr
 
 
 class Forest:
@@ -35,7 +37,14 @@ class Forest:
         return i < len(self.trees) and self.trees[i] == t
 
     def __eq__(self, other):
-        return isinstance(other, Forest) and self.trees == other.trees
+        if not isinstance(other, Forest) or len(self) != len(other):
+            return False
+        # subtree pairs found equal, shared across the pairs of trees: two
+        # forests built apart each share their subtrees, so each pair of
+        # those is walked once (g_forest(1, h) in O(h), not O(h^2))
+        same = set()
+        return all(hash(a) == hash(b) and _equal(a, b, same)
+                   for a, b in zip(self.trees, other.trees))
 
     def __hash__(self):
         return hash(self.trees)

@@ -1,14 +1,14 @@
 """Rational-valued forests and a duplicate-free enumeration of Q+.
 
-h_forest(i, m) grafts, for each of the first m primes, one of: an
-inverted-prime tree raised by an exponent forest, nothing, or the plain
-prime raised likewise.  Its members evaluate to distinct reduced
-rationals.  rational_stream() walks the nested stages h_forest(s, s),
-s = 1, 2, ..., generating each stage's new trees in canonical order, never
-the whole stage; every positive rational has finite prime support and
-tower height, so it appears at some finite stage.  A tree of stage s is
-new there when its height is s + 1 or a root branch is new: the branch's
-label or its subtree has the prime p_{s-1}.
+h_forest(i, m), listed through ordered_trees, grafts for each of the first
+m primes one of: an inverted-prime tree raised by an exponent forest,
+nothing, or the plain prime raised likewise.  Its members evaluate to
+distinct reduced rationals.  rational_stream() walks the nested stages
+h_forest(s, s), s = 1, 2, ..., generating each stage's new trees in
+canonical order, never the whole stage; every positive rational has
+finite prime support and tower height, so it appears at some finite
+stage.  A tree of stage s is new there when its height is s + 1 or a root
+branch is new: the branch's label or its subtree has the prime p_{s-1}.
 """
 
 import itertools
@@ -16,11 +16,10 @@ from fractions import Fraction
 
 from .codec import eval_rational_tree
 from .errors import DomainError
-from .forest_algebra import (
-    UNIT_FOREST, graft_forests, ordered_trees, raise_forest)
+from .forest_algebra import Forest, ordered_trees
 from .generator import DEFAULT_CAP, _capped_power, g_count, g_forest
 from .primes import first_primes, prime_index_of
-from .tree_core import SINGLETON, Label, label_tree
+from .tree_core import SINGLETON, Label
 
 # stage_trees takes the enumerator's trees this many at a time, with a new
 # batch at every height, for per-item latency: one item per batch does the
@@ -46,16 +45,13 @@ def h_count(i, m, cap=None):
 
 def h_forest(i, m):
     """All rational trees over the first m primes whose root branches carry
-    exponent trees of height <= i."""
+    exponent trees of height <= i, listed through ordered_trees."""
     h_count(i, m, DEFAULT_CAP)
-    exponents = g_forest(m, i)
-    acc = UNIT_FOREST
-    for k in range(m):
-        factor = (raise_forest(label_tree(k, inverted=True), exponents)
-                  .union(UNIT_FOREST)
-                  .union(raise_forest(label_tree(k), exponents)))
-        acc = graft_forests(acc, factor)
-    return acc
+    labels = [Label(p, inv) for inv in (False, True) for p in first_primes(m)]
+    trees = [SINGLETON]
+    for height in range(1, i + 2):
+        trees += ordered_trees(labels, g_forest(m, height - 1).trees, height)
+    return Forest(trees)
 
 
 def minimal_stage(t):
@@ -93,8 +89,7 @@ def stage_trees(s):
     height s + 1 every tree, so every branch, is new."""
     if s == 1:
         yield SINGLETON
-    labels = [Label(p, inverted) for inverted in (False, True)
-              for p in first_primes(s)]
+    labels = [Label(p, inv) for inv in (False, True) for p in first_primes(s)]
     for height in range(1, s + 2):
         subs = g_forest(s, height - 1)
         new_subs = {sub for sub in subs

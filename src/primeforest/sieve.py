@@ -5,35 +5,33 @@ bijection each is the value of exactly one tree over those labels.  So
 the sieve builds values, not trees: it marks, in a window up to 2q, every
 product of prime powers over the primes <= q, and reads the primes off
 as the midpoints of marked pairs at distance 2.  The products are
-grafted one label at a time, as literal_fixpoint_sieve grafts forests,
-but over the window's flags: each label ORs the products before it into
-the strided slices of its powers.  Each value is marked once, which one
-count of the flags checks at the end.  An exponent is itself a tree's
+grafted one label at a time, as literal_fixpoint_sieve grafts trees,
+but over the window's flags: each label writes the products before it
+into the strided slices of its powers.  Each value is marked once, which
+one count of the flags checks at the end.  An exponent is itself a tree's
 value over the same labels, so the exponents come from
 bounded_value_trees.  Trees are built, by encode_integer, only for
 composites_in_window (`sieve --show-composites`).  The gap scan runs
 from q to 2q: both ends are marked (q = q^1, and the composite 2q), so
 it sees a prime at q + 1 or 2q - 1.
 
-Both sieves refuse q above a fixed cap (SizeOverBudget): the window costs
-2q bytes, the slices of the labels below sqrt(2q) copy a few times that
-between them, and the fixpoint form grows much faster.
+Both sieves refuse q above a fixed cap (SizeOverBudget): the window
+costs 2q bytes, and the fixpoint form a tree per value per generation.
 """
 
 from bisect import bisect_right
 from math import isqrt
 
-from .codec import OVER_BOUND, _max_exponent, encode_integer, eval_bounded
+from .codec import _max_exponent, encode_integer
 from .errors import DomainError, NotPrime, SizeOverBudget
-from .forest_algebra import Forest, UNIT_FOREST, graft_forests, raise_forest
 from .generator import bounded_value_trees
 from .primes import is_prime, primes_upto
-from .tree_core import label_tree
+from .tree_core import SINGLETON, Label, Tree, graft
 
 # `sieve 3999971` takes about 1 s and 45 MB peak RSS (Python 3.11, 2 vCPU)
 SIEVE_CAP = 4 * 10 ** 6
-# literal_fixpoint_sieve takes about 3 s at q = 211 and 19 s at q = 509
-FIDELITY_CAP = 211
+# `sieve 39989 --fidelity` takes 1.2-2 s and 63 MB peak RSS (same host)
+FIDELITY_CAP = 39989
 
 
 def eratosthenes(n):
@@ -78,7 +76,7 @@ def _composite_flags(q):
     prime factors are all <= q (the window's composites among them).
 
     Grafted one label at a time: with the products over the primes before
-    p flagged, those times p^e are OR-ed in through the slice of step p^e.
+    p flagged, those times p^e fill the slice of step p^e, zero till then.
     A prime p above isqrt(2q) takes exponent 1 only, and every m <= 2q/p
     is below p and so already a product: its marks are all such m * p.
     Distinct marks set distinct flags, so a count of the flags short of
@@ -108,10 +106,7 @@ def _composite_flags(q):
             if step > limit:
                 break
             n = limit // step + 1
-            stride = slice(0, (n - 1) * step + 1, step)
-            flags[stride] = (int.from_bytes(flags[stride], "little")
-                             | int.from_bytes(below[:n], "little")
-                             ).to_bytes(n, "little")
+            flags[::step] = below[:n]
             marks += below.count(1, 0, n)
     if flags.count(1) != marks:
         raise DomainError("a value is reached twice")
@@ -134,33 +129,41 @@ def _gap_midpoints(flags, q):
 
 def literal_fixpoint_sieve(q):
     """Same output as combinatorial_sieve, computed through the
-    grafting/raising fixpoint over successive forest generations.
+    grafting/raising fixpoint over successive generations of trees.
 
-    Each generation is pruned to trees evaluating <= 2q (grafting and
-    raising only ever increase evaluations, so nothing in the window is
-    lost).  Raising and grafting are monotone, so each generation holds
-    the one before it, and the loop stops at the first equal to it.
-    Fidelity mode for q <= FIDELITY_CAP only.
+    A generation maps each value <= 2q to its tree.  Each label's tree,
+    raised by the members of value e with p^e <= 2q, is grafted onto the
+    products before it that stay <= 2q: the trees a prune to 2q keeps, as
+    grafting and raising only increase values.  Each generation holds the
+    one before it, and the loop stops at the first equal to it.  A value
+    reached twice raises DomainError.  For q <= FIDELITY_CAP only.
     """
     _check_q(q, FIDELITY_CAP)
     limit = 2 * q
-    n = len(primes_upto(q))
+    labels = [Label(p) for p in primes_upto(q)]
 
-    def prune(forest):
-        return Forest(t for t in forest
-                      if eval_bounded(t, limit) is not OVER_BOUND)
-
-    def next_generation(forest):
-        acc = UNIT_FOREST
-        for k in range(n):
-            factor = prune(UNIT_FOREST.union(raise_forest(label_tree(k), forest)))
-            acc = prune(graft_forests(acc, factor))
+    def next_generation(members):
+        # keys: acc's keys that later labels may graft onto, ascending
+        acc, keys = {1: SINGLETON}, [1]
+        exponents = sorted(members)
+        for label in labels:
+            new = []
+            for e in exponents:
+                b = label.prime ** e
+                if b > limit:
+                    break
+                raised = Tree(((label, members[e]),))
+                for a in keys[:bisect_right(keys, limit // b)]:
+                    if a * b in acc:
+                        raise DomainError("a value is reached twice")
+                    acc[a * b] = graft(acc[a], raised)
+                    new.append(a * b)
+            # later labels graft onto keys <= 2q / p only; sorted merges
+            # one ascending run and one per raised tree
+            keys = sorted(v for v in keys + new if v * label.prime <= limit)
         return acc
 
-    g_old, g_new = Forest(), next_generation(UNIT_FOREST)
+    g_old, g_new = {}, {1: SINGLETON}
     while g_new != g_old:
         g_old, g_new = g_new, next_generation(g_new)
-    flags = bytearray(limit + 1)
-    for t in g_new:
-        flags[eval_bounded(t, limit)] = 1
-    return _gap_midpoints(flags, q)
+    return _gap_midpoints(bytes(v in g_new for v in range(limit + 1)), q)

@@ -216,6 +216,28 @@ def _cmp(a, b):
     return 0
 
 
+def _equal(a, b, same):
+    """a == b, walked as _cmp walks, skipping subtree pairs already found
+    equal.  `same` holds their (id, id) pairs, and the walk adds each pair
+    it finds equal, so trees that share subtrees compare in linear time.
+    An id names its tree only while it lives: the caller keeps every tree
+    it compares alive for as long as it keeps `same`."""
+    stack = [(None, iter((((None, a), (None, b)),)))]   # the roots, unlabeled
+    while stack:
+        for (la, a), (lb, b) in stack[-1][1]:
+            if la != lb:
+                return False
+            if a is not b and (id(a), id(b)) not in same:
+                if (a.height != b.height
+                        or len(a.branches) != len(b.branches)):
+                    return False
+                stack.append(((id(a), id(b)), zip(a.branches, b.branches)))
+                break
+        else:
+            same.add(stack.pop()[0])
+    return True
+
+
 def validate(raw):
     """Build a canonical Tree from nested raw data.
 

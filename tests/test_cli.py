@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import os
 import re
 import shlex
@@ -11,9 +12,10 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primeforest import cli
+from primeforest import cli, sieve
 from primeforest.cli import _forest_dot, _print_cap, run
 from primeforest.generator import g_count
+from primeforest.primes import is_prime
 from primeforest.sieve import eratosthenes
 from primeforest.tree_core import SINGLETON, Label, Tree
 
@@ -195,9 +197,12 @@ def test_sieve_show_composites_golden_hashes():
 
 
 def test_sieve_caps_refuse_large_q():
+    above = next(k for k in itertools.count(sieve.FIDELITY_CAP + 1)
+                 if is_prime(k))
     for argv, cap in ((["sieve", "4000037"], "4000000"),
                       (["sieve", "4000037", "--show-composites"], "4000000"),
-                      (["sieve", "223", "--fidelity"], "211")):
+                      (["sieve", str(above), "--fidelity"],
+                       str(sieve.FIDELITY_CAP))):
         code, out, err = run_cli(*argv, timeout=2)
         assert (code, out) == (1, "")
         assert f"cap {cap}" in err and "Traceback" not in err

@@ -15,7 +15,7 @@ from primeforest.forest_algebra import (
 from primeforest.generator import g_forest, g_trees
 from primeforest.primes import first_primes
 from primeforest.tree_core import (
-    SINGLETON, Label, Tree, label_tree, to_sexpr, validate)
+    SINGLETON, Label, Tree, _equal, label_tree, to_sexpr, validate)
 
 
 def test_forest_dedupes_and_orders():
@@ -94,6 +94,21 @@ def test_raise_preserves_size():
 def test_raise_not_commutative():
     t0, t1 = label_tree(0), label_tree(1)
     assert raise_forest(t0, Forest([t1])) != raise_forest(t1, Forest([t0]))
+
+
+def test_forests_built_apart_differ_at_the_bottom():
+    # == walks each pair of shared subtrees once, and a difference at the
+    # bottom of the tallest tree still shows, in the walk as in the hashes
+    tall, apart = g_forest(1, 300), g_forest(1, 300)
+    chain = Tree(((Label(3), SINGLETON),))
+    for _ in range(299):
+        chain = Tree(((Label(2), chain),))
+    other = Forest(list(tall)[:-1] + [chain])
+    assert len(other) == len(tall) and other != tall
+    assert Forest(list(other)[:-1] + [list(tall)[-1]]) == apart
+    same = set()
+    assert _equal(tall.trees[-1], apart.trees[-1], same)
+    assert not _equal(chain, apart.trees[-1], same)
 
 
 def test_set_operations():

@@ -83,7 +83,8 @@ def test_cold_prime_by_index_past_the_top():
 
 
 def test_cold_is_prime_matches_eratosthenes():
-    # is_prime is Miller-Rabin alone: it neither reads nor grows the table
+    # is_prime bisects SMALL_PRIMES below 2^16 and runs Miller-Rabin from
+    # 2^16 on, in a fresh interpreter, with no table to fill first
     run_cold("ref = set(eratosthenes(2 * 10 ** 5))\n"
              "bad = [n for n in range(-5, 2 * 10 ** 5)\n"
              "       if primes.is_prime(n) != (n in ref)]\n"

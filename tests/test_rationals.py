@@ -25,10 +25,11 @@ from primeforest.rationals import (
 )
 from primeforest import rationals
 from primeforest.errors import SizeOverBudget
-from primeforest.forest_algebra import ordered_trees
+from primeforest.forest_algebra import (
+    Forest, graft_forests, ordered_trees, raise_forest)
 from primeforest.generator import g_forest
 from primeforest.primes import prime_by_index
-from primeforest.tree_core import SINGLETON, Label, to_sexpr
+from primeforest.tree_core import SINGLETON, Label, label_tree, to_sexpr
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -82,6 +83,27 @@ def test_h_forest_monotone():
         wider = h_forest(i, m + 1)
         assert all(t in taller for t in base) and len(taller) > len(base)
         assert all(t in wider for t in base) and len(wider) > len(base)
+
+
+def _graft_raise_h(i, m):
+    # the paper's H(i, m): grafts, for each of the first m primes, the
+    # inverted prime raised by G(m, i), the unit forest, or the plain prime
+    # raised likewise
+    unit = Forest([SINGLETON])
+    exponents = g_forest(m, i)
+    forest = unit
+    for k in range(m):
+        factor = (raise_forest(label_tree(k, inverted=True), exponents)
+                  .union(unit)
+                  .union(raise_forest(label_tree(k), exponents)))
+        forest = graft_forests(forest, factor)
+    return forest
+
+
+@pytest.mark.parametrize("i, m", [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2),
+                                  (2, 1), (2, 2), (1, 3), (0, 5), (3, 1)])
+def test_h_forest_matches_the_graft_raise_construction(i, m):
+    assert h_forest(i, m).trees == _graft_raise_h(i, m).trees
 
 
 def test_integer_slice_consistency():

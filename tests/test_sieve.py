@@ -1,3 +1,4 @@
+import itertools
 import random
 import subprocess
 import sys
@@ -60,10 +61,15 @@ def test_sieve_near_a_million_in_a_subprocess():
     assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
 
 
+def _prime_above(n):
+    return next(k for k in itertools.count(n + 1) if is_prime(k))
+
+
 def test_sieve_caps():
     for fn, q, cap in ((combinatorial_sieve, 4000037, SIEVE_CAP),
                        (composites_in_window, 4000037, SIEVE_CAP),
-                       (literal_fixpoint_sieve, 223, FIDELITY_CAP)):
+                       (literal_fixpoint_sieve, _prime_above(FIDELITY_CAP),
+                        FIDELITY_CAP)):
         with pytest.raises(SizeOverBudget) as info:
             fn(q)
         assert (info.value.requested, info.value.cap) == (q, cap)
@@ -147,8 +153,24 @@ def test_composite_gap_at_most_two():
 
 
 def test_literal_fixpoint_agrees():
-    for q in (2, 3, 5, 7, 11, 13):
-        assert literal_fixpoint_sieve(q) == combinatorial_sieve(q)
+    # every prime q <= 211, then the largest primes below seeded n up to
+    # the cap
+    rng = random.Random(28)
+    seeded = [rng.randrange(212, FIDELITY_CAP + 1) for _ in range(3)]
+    qs = eratosthenes(211) + [next(k for k in range(n, 1, -1) if is_prime(k))
+                              for n in seeded]
+    for q in qs:
+        assert literal_fixpoint_sieve(q) == combinatorial_sieve(q), q
+
+
+@pytest.mark.parametrize("primes", [[2, 2, 3, 5, 7, 11, 13],
+                                    [2, 3, 3, 5, 7, 11, 13],
+                                    [2, 3, 5, 7, 11, 13, 13]])
+def test_a_repeated_prime_is_refused_by_the_fixpoint(monkeypatch, primes):
+    # a repeated label grafts its own powers onto a value it reached
+    monkeypatch.setattr(sieve, "primes_upto", lambda n: primes)
+    with pytest.raises(DomainError, match="reached twice"):
+        literal_fixpoint_sieve(13)
 
 
 def test_sieve_never_empty():
