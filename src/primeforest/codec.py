@@ -56,7 +56,7 @@ def eval_rational_tree(t, cap=None):
     and each root exponent is bounded before its power is taken, so no
     value far above the cap is ever built.
     """
-    if cap is not None and cap < 1:
+    if cap is not None and (cap := as_integer(cap)) < 1:
         raise _past_cap(cap)
     num = den = 1
     for label, sub in t.branches:
@@ -111,7 +111,7 @@ def eval_bounded(t, bound):
     """
     if t.has_inverted:
         raise InverseLabelPresent("tree carries inverted labels")
-    return _value(t, bound)
+    return _value(t, None if bound is None else as_integer(bound))
 
 
 def _value(t, bound=None):

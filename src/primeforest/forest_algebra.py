@@ -1,12 +1,14 @@
 """Duplicate-free forests, ordered_trees (the canonical enumerator the
 library lists through) and the paper's operators: graft_forests,
 raise_forest and Forest.union, kept with tree_core.singleton() as public
-exports, the tests' oracles and the bench's forest probe."""
+exports, the tests' oracles and the bench's forest probe.  Forest ==
+compares its pairs of trees by tree_core._cmp with one shared set of the
+subtree pairs found equal, so each shared subtree pair is walked once."""
 
 from bisect import bisect_left
 
 from .errors import SiblingCollision
-from .tree_core import SINGLETON, Tree, _equal, graft, to_sexpr
+from .tree_core import SINGLETON, Tree, _cmp, graft, to_sexpr
 
 
 class Forest:
@@ -43,7 +45,7 @@ class Forest:
         # forests built apart each share their subtrees, so each pair of
         # those is walked once (g_forest(1, h) in O(h), not O(h^2))
         same = set()
-        return all(hash(a) == hash(b) and _equal(a, b, same)
+        return all(hash(a) == hash(b) and _cmp(a, b, same) == 0
                    for a, b in zip(self.trees, other.trees))
 
     def __hash__(self):

@@ -15,7 +15,7 @@ exponent trees from the same walk at the bound's bit length.
 import itertools
 
 from .codec import _approx, _max_exponent
-from .errors import DomainError, SizeOverBudget
+from .errors import DomainError, SizeOverBudget, as_integer
 from .forest_algebra import Forest, ordered_trees
 from .primes import first_primes, prime_by_index
 from .tree_core import SINGLETON, Label, Tree
@@ -30,8 +30,9 @@ def g_count(n, h, cap=None):
     cap, a count above it raises SizeOverBudget, and each step's bit
     length is bounded before its power is taken, so no count far above
     the cap is ever built.  For n <= 1, S_h = (1 + h)^n, so no step is
-    taken.  A negative n or h raises DomainError.
+    taken.  A negative or non-integer n, h or cap raises DomainError.
     """
+    n, h, cap = _integers(n, h, cap)
     what = f"g_count({n}, {h})"
     for name, value in (("n", n), ("h", h)):
         if value < 0:
@@ -42,6 +43,11 @@ def g_count(n, h, cap=None):
     for _ in range(h):
         s = _capped_power(1 + s, n, cap, what)
     return s
+
+
+def _integers(*values):
+    """values through as_integer, None kept: the sizes and cap of a count."""
+    return [None if v is None else as_integer(v) for v in values]
 
 
 def _capped_power(base, n, cap, what):

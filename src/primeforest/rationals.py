@@ -15,9 +15,10 @@ import itertools
 from fractions import Fraction
 
 from .codec import eval_rational_tree
-from .errors import DomainError
+from .errors import DomainError, as_integer
 from .forest_algebra import Forest, ordered_trees
-from .generator import DEFAULT_CAP, _capped_power, g_count, g_forest
+from .generator import (DEFAULT_CAP, _capped_power, _check_listing, _integers,
+                        g_count, g_forest)
 from .primes import first_primes, prime_index_of
 from .tree_core import SINGLETON, Label
 
@@ -36,6 +37,7 @@ def h_count(i, m, cap=None):
     """Predicted size of h_forest(i, m): each prime independently
     contributes nothing, or one of 2 * g_count(m, i) raised trees.  Given
     a cap, a count above it raises SizeOverBudget before it is built."""
+    i, m, cap = _integers(i, m, cap)
     what = f"h_count({i}, {m})"
     for name, value in (("i", i), ("m", m)):
         if value < 0:
@@ -45,12 +47,17 @@ def h_count(i, m, cap=None):
 
 def h_forest(i, m):
     """All rational trees over the first m primes whose root branches carry
-    exponent trees of height <= i, listed through ordered_trees."""
+    exponent trees of height <= i.  Height k hangs the first g_count(m,
+    k - 1) trees of one G(m, i), whose first sort key is height; with no
+    primes it stops at height 1.  Refused over h_count's cap, and wherever
+    listing G(m, i + 1) is."""
     h_count(i, m, DEFAULT_CAP)
+    _check_listing(m, i + 1)
     labels = [Label(p, inv) for inv in (False, True) for p in first_primes(m)]
+    subs = g_forest(m, i).trees
     trees = [SINGLETON]
-    for height in range(1, i + 2):
-        trees += ordered_trees(labels, g_forest(m, height - 1).trees, height)
+    for height in range(1, i + 2 if m else 1):
+        trees += ordered_trees(labels, subs[:g_count(m, height - 1)], height)
     return Forest(trees)
 
 
@@ -78,6 +85,7 @@ def rational_stream(cap=None):
     large (past 2^(10^6) from item 7,437 on).  Given a cap, a numerator or
     denominator above it raises SizeOverBudget before it is built.
     """
+    cap = None if cap is None else as_integer(cap)
     return ((eval_rational_tree(t, cap), t) for t in rational_tree_stream())
 
 

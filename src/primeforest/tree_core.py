@@ -195,47 +195,34 @@ def graft(a, b):
     return Tree(a.branches + b.branches)
 
 
-def _cmp(a, b):
+def _cmp(a, b, same=None):
     """-1, 0 or 1 in canonical tree order: height, then branch count, then
-    branch by branch the label (by sort_rank) and the subtree."""
+    branch by branch the label (by sort_rank) and the subtree.  Given a
+    set `same`, the walk skips the subtree pairs whose (id, id) it holds
+    and adds each pair it finds equal, so trees that share subtrees compare
+    in linear time.  An id names its tree only while it lives: the caller
+    keeps every tree it compares alive for as long as it keeps `same`."""
     stack = [iter((((None, a), (None, b)),))]   # the roots, unlabeled
+    walked = () if same is None else []     # the ids of each open pair
     while stack:
         for (la, a), (lb, b) in stack[-1]:
             if la != lb:
                 return -1 if la.sort_rank < lb.sort_rank else 1
             # enumerated trees share subtree objects, so most walks stop here
-            if a is not b:
+            if a is not b and (same is None or (id(a), id(b)) not in same):
                 if a.height != b.height:
                     return -1 if a.height < b.height else 1
                 if len(a.branches) != len(b.branches):
                     return -1 if len(a.branches) < len(b.branches) else 1
                 stack.append(zip(a.branches, b.branches))
+                if same is not None:
+                    walked.append((id(a), id(b)))
                 break
         else:
             stack.pop()
+            if walked:
+                same.add(walked.pop())
     return 0
-
-
-def _equal(a, b, same):
-    """a == b, walked as _cmp walks, skipping subtree pairs already found
-    equal.  `same` holds their (id, id) pairs, and the walk adds each pair
-    it finds equal, so trees that share subtrees compare in linear time.
-    An id names its tree only while it lives: the caller keeps every tree
-    it compares alive for as long as it keeps `same`."""
-    stack = [(None, iter((((None, a), (None, b)),)))]   # the roots, unlabeled
-    while stack:
-        for (la, a), (lb, b) in stack[-1][1]:
-            if la != lb:
-                return False
-            if a is not b and (id(a), id(b)) not in same:
-                if (a.height != b.height
-                        or len(a.branches) != len(b.branches)):
-                    return False
-                stack.append(((id(a), id(b)), zip(a.branches, b.branches)))
-                break
-        else:
-            same.add(stack.pop()[0])
-    return True
 
 
 def validate(raw):
@@ -351,6 +338,8 @@ def _tokenize(text):
 
 def parse_sexpr(text):
     """Parse the canonical S-expression form back into a Tree."""
+    if not isinstance(text, str):
+        raise ParseError(f"tree text must be a str, not {text!r}")
     tokens = iter(_tokenize(text))
     if next(tokens, None) != "(" or next(tokens, None) != "r":
         raise ParseError(f"expected '(r' at the start of {text!r}")

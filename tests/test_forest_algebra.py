@@ -15,7 +15,7 @@ from primeforest.forest_algebra import (
 from primeforest.generator import g_forest, g_trees
 from primeforest.primes import first_primes
 from primeforest.tree_core import (
-    SINGLETON, Label, Tree, _equal, label_tree, to_sexpr, validate)
+    SINGLETON, Label, Tree, _cmp, label_tree, to_sexpr, validate)
 
 
 def test_forest_dedupes_and_orders():
@@ -107,8 +107,8 @@ def test_forests_built_apart_differ_at_the_bottom():
     assert len(other) == len(tall) and other != tall
     assert Forest(list(other)[:-1] + [list(tall)[-1]]) == apart
     same = set()
-    assert _equal(tall.trees[-1], apart.trees[-1], same)
-    assert not _equal(chain, apart.trees[-1], same)
+    assert _cmp(tall.trees[-1], apart.trees[-1], same) == 0
+    assert _cmp(chain, apart.trees[-1], same) == 1
 
 
 def test_set_operations():

@@ -1,6 +1,7 @@
 import pytest
 
-from primeforest.codec import encode_integer, eval_integer_tree
+from primeforest.codec import (encode_integer, encode_rational, eval_bounded,
+                              eval_integer_tree, eval_rational_tree)
 from primeforest.errors import DomainError, SizeOverBudget
 from primeforest.forest_algebra import Forest, graft_forests, raise_forest
 from primeforest.generator import (
@@ -11,8 +12,8 @@ from primeforest.generator import (
     g_forest,
     g_trees,
 )
-from primeforest.rationals import h_count, h_forest
-from primeforest.tree_core import SINGLETON, label_tree, validate
+from primeforest.rationals import h_count, h_forest, rational_stream
+from primeforest.tree_core import SINGLETON, label_tree, parse_sexpr, validate
 
 
 def test_g_count_values():
@@ -51,10 +52,41 @@ def test_negative_sizes_are_refused(size, args):
         assert str(info.value).startswith("h_count({}, {}): ".format(*args))
 
 
+_THREE_FOURTHS = encode_rational(3, 4)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: g_count(2.5, 1),
+    lambda: g_count("3", 1),
+    lambda: g_count(2, 1, cap=10.0),
+    lambda: h_count(1.5, 1),
+    lambda: h_count(1, 1, cap="5"),
+    lambda: g_forest(2, 1.0),
+    lambda: g_trees(2, 1.0),
+    lambda: all_valid_trees_bruteforce(2, 1.0),
+    lambda: h_forest(1, 1.0),
+    lambda: h_forest(1.0, 1),
+    lambda: h_forest("1", 1),
+    lambda: next(rational_stream(cap=0.5)),
+    lambda: eval_rational_tree(_THREE_FOURTHS, 0.5),
+    lambda: eval_bounded(SINGLETON, 0.5),
+    lambda: parse_sexpr(None),
+    lambda: parse_sexpr(b"(r)"),
+], ids=["g_count-float", "g_count-str", "g_count-cap", "h_count-float",
+        "h_count-cap", "g_forest", "g_trees", "bruteforce", "h_forest-m",
+        "h_forest-i", "h_forest-str", "rational_stream-cap",
+        "eval_rational_tree-cap", "eval_bounded-bound", "parse-None",
+        "parse-bytes"])
+def test_non_integer_sizes_and_caps_are_refused(call):
+    with pytest.raises(DomainError, match="not an integer|must be a str"):
+        call()
+
+
 def test_listing_stops_at_the_first_empty_height():
     for h in (1, 2, 10 ** 7 - 1):
         assert list(g_forest(0, h)) == [SINGLETON]
         assert list(g_trees(0, h)) == [SINGLETON]
+        assert h_forest(h, 0) == Forest([SINGLETON])
 
 
 def test_listing_work_budget():
@@ -67,6 +99,14 @@ def test_listing_work_budget():
                 listing(1, h)
             assert info.value.cap == DEFAULT_CAP
             assert info.value.requested == 4472 * 4473 // 2
+    # h_forest(i, 1) is refused where listing G(1, i + 1) is, although
+    # h_count(i, 1) = 2i + 3 stays under the cap up to i = 4,999,998
+    assert len(h_forest(1000, 1)) == 2003
+    for i in (4471, 20000, 4_999_998):
+        with pytest.raises(SizeOverBudget, match="steps") as info:
+            h_forest(i, 1)
+        assert (info.value.requested, info.value.cap) \
+            == (4472 * 4473 // 2, DEFAULT_CAP)
 
 
 def test_g_forest_small():

@@ -183,6 +183,27 @@ def test_order_matches_reference_key(rng):
                 ka < kb, ka <= kb, ka > kb, ka >= kb, ka == kb)
 
 
+_DRAWN_TREES = st.one_of(
+    st.builds(encode_rational, st.integers(1, 10 ** 6),
+              st.integers(1, 10 ** 6)),
+    st.sampled_from(g_forest(3, 2).trees))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_DRAWN_TREES, min_size=1, max_size=8))
+def test_the_memo_walk_orders_as_the_plain_walk_and_the_reference(trees):
+    # each tree against each rebuilt apart, through one shared memo: a pair
+    # found equal earlier must not change a later answer
+    apart = [parse_sexpr(to_sexpr(t)) for t in trees]
+    same = set()
+    for a in trees:
+        for b in apart:
+            sign = tree_core._cmp(a, b)
+            key_a, key_b = _reference_key(a), _reference_key(b)
+            assert tree_core._cmp(a, b, same) == sign
+            assert sign == (key_a > key_b) - (key_a < key_b)
+
+
 def test_order_against_non_tree_is_type_error():
     for other in (3, "(r)", None, Fraction(1, 2)):
         with pytest.raises(TypeError):
