@@ -7,18 +7,19 @@ all_valid_trees_bruteforce re-derives the same set from subtrees of the
 complete n-ary tree; both refuse more than DEFAULT_CAP trees or as much
 enumeration work.  g_trees streams g_forest's listing, holding only the
 trees below height h.
-bounded_value_trees prunes by integer value instead of height: it walks
-products of prime powers depth first, as the sieve does, taking its
-exponent trees from the same walk at the bound's bit length.
+bounded_value_trees prunes by integer value instead of height: it is one
+step of the fidelity sieve's grafting and raising, _graft_generation,
+over exponent trees from the same call at the bound's bit length.
 """
 
 import itertools
+from bisect import bisect_right
 
 from .codec import _approx, _max_exponent
 from .errors import DomainError, SizeOverBudget, as_integer
 from .forest_algebra import Forest, ordered_trees
-from .primes import first_primes, prime_by_index
-from .tree_core import SINGLETON, Label, Tree
+from .primes import first_primes, primes_upto
+from .tree_core import SINGLETON, Label, Tree, graft
 
 DEFAULT_CAP = 10 ** 7
 
@@ -133,32 +134,61 @@ def bounded_value_trees(prime_indices, bound):
     """All (value, tree) pairs with value <= bound over the given labels,
     singleton included.  Values are exactly the integers in [1, bound]
     whose factorization, recursively through exponents, stays inside the
-    label set.
+    label set.  An index whose prime is above the bound adds no value.
+    A bound above DEFAULT_CAP raises SizeOverBudget; a negative or
+    non-integer index or bound, or indices that are not iterable, raise
+    DomainError.
     """
-    labels = [Label(p) for p in sorted(map(prime_by_index, set(prime_indices)))]
-    return _bounded_value_trees(labels, bound)
+    bound = as_integer(bound)
+    if bound > DEFAULT_CAP:
+        raise SizeOverBudget(f"bound {bound} exceeds the cap {DEFAULT_CAP}",
+                             requested=bound, cap=DEFAULT_CAP)
+    primes = primes_upto(bound)
+    try:
+        indices = iter(prime_indices)
+    except TypeError:
+        raise DomainError(
+            f"prime indices are not iterable: {prime_indices!r}") from None
+    indices = {k for k in map(as_integer, indices) if k < len(primes)}
+    if min(indices, default=0) < 0:
+        raise DomainError("prime index must be >= 0")
+    labels = [Label(primes[k]) for k in sorted(indices)]
+    return list(_bounded_value_trees(labels, bound).items())
 
 
 def _bounded_value_trees(labels, bound):
+    # the exponents: the values up to the bound's bit length
     if bound < 1:
-        return []
-    # ascending values, so the walk can stop at the first power past the bound
-    exponents = sorted(_bounded_value_trees(labels, _max_exponent(bound, 2)))
-    out = [(1, SINGLETON)]
+        return {}
+    return _graft_generation(
+        labels, _bounded_value_trees(labels, _max_exponent(bound, 2)), bound)
 
-    def walk(v, i, branches):
-        # v times a prime power of labels[j], j >= i, times what follows
-        for j in range(i, len(labels)):
-            label = labels[j]
-            if v * label.prime > bound:
-                return
-            for e, etree in exponents:
-                w = v * label.prime ** e
-                if w > bound:
-                    break
-                grown = branches + ((label, etree),)
-                out.append((w, Tree(grown)))
-                walk(w, j + 1, grown)
 
-    walk(1, 0, ())
-    return out
+def _graft_generation(labels, members, bound):
+    """value -> tree for every value <= bound grafted from at most one tree
+    per label, the label raised by a member (members maps value -> tree),
+    the ascending labels in turn: the trees a prune to the bound keeps, as
+    grafting and raising only increase values.  A value reached twice
+    raises DomainError."""
+    # keys: acc's keys that later labels may graft onto, ascending
+    acc, keys = {1: SINGLETON}, [1]
+    exponents = sorted(members)
+    for label in labels:
+        if label.prime > bound:
+            break
+        new = []
+        for e in exponents:
+            b = label.prime ** e
+            if b > bound:
+                break
+            raised = Tree(((label, members[e]),))
+            for a in keys[:bisect_right(keys, bound // b)]:
+                if a * b in acc:
+                    raise DomainError("a value is reached twice")
+                # grafting onto the singleton would only copy `raised`
+                acc[a * b] = graft(acc[a], raised) if a > 1 else raised
+                new.append(a * b)
+        # later labels graft onto keys <= bound / p only; sorted merges
+        # one ascending run and one per raised tree
+        keys = sorted(v for v in keys + new if v * label.prime <= bound)
+    return acc

@@ -5,15 +5,15 @@ bijection each is the value of exactly one tree over those labels.  So
 the sieve builds values, not trees: it marks, in a window up to 2q, every
 product of prime powers over the primes <= q, and reads the primes off
 as the midpoints of marked pairs at distance 2.  The products are
-grafted one label at a time, as literal_fixpoint_sieve grafts trees,
-but over the window's flags: each label writes the products before it
-into the strided slices of its powers.  Each value is marked once, which
-one count of the flags checks at the end.  An exponent is itself a tree's
-value over the same labels, so the exponents come from
-bounded_value_trees.  Trees are built, by encode_integer, only for
-composites_in_window (`sieve --show-composites`).  The gap scan runs
-from q to 2q: both ends are marked (q = q^1, and the composite 2q), so
-it sees a prime at q + 1 or 2q - 1.
+grafted one label at a time, as generator's graft-and-raise step grafts
+trees for literal_fixpoint_sieve, but over the window's flags: each
+label writes the products before it into the strided slices of its
+powers.  Each value is marked once, which one count of the flags checks
+at the end.  An exponent is itself a tree's value over the same labels,
+so the exponents come from bounded_value_trees.  Trees are built, by
+encode_integer, only for composites_in_window (`sieve --show-composites`).
+The gap scan runs from q to 2q: both ends are marked (q = q^1, and the
+composite 2q), so it sees a prime at q + 1 or 2q - 1.
 
 Both sieves refuse q above a fixed cap (SizeOverBudget): the window
 costs 2q bytes, and the fixpoint form a tree per value per generation.
@@ -23,10 +23,10 @@ from bisect import bisect_right
 from math import isqrt
 
 from .codec import _max_exponent, encode_integer
-from .errors import DomainError, NotPrime, SizeOverBudget
-from .generator import bounded_value_trees
+from .errors import DomainError, NotPrime, SizeOverBudget, as_integer
+from .generator import _graft_generation, bounded_value_trees
 from .primes import is_prime, primes_upto
-from .tree_core import SINGLETON, Label, Tree, graft
+from .tree_core import SINGLETON, Label
 
 # `sieve 3999971` takes about 1 s and 45 MB peak RSS (Python 3.11, 2 vCPU)
 SIEVE_CAP = 4 * 10 ** 6
@@ -35,7 +35,9 @@ FIDELITY_CAP = 39989
 
 
 def eratosthenes(n):
-    """Classical sieve: ascending list of primes <= n (oracle role)."""
+    """Classical sieve: ascending list of primes <= n (oracle role); a
+    non-integer n raises DomainError."""
+    n = as_integer(n)
     if n < 2:
         return []
     flags = bytearray([1]) * (n + 1)
@@ -131,39 +133,16 @@ def literal_fixpoint_sieve(q):
     """Same output as combinatorial_sieve, computed through the
     grafting/raising fixpoint over successive generations of trees.
 
-    A generation maps each value <= 2q to its tree.  Each label's tree,
-    raised by the members of value e with p^e <= 2q, is grafted onto the
-    products before it that stay <= 2q: the trees a prune to 2q keeps, as
-    grafting and raising only increase values.  Each generation holds the
-    one before it, and the loop stops at the first equal to it.  A value
+    A generation maps each value <= 2q to its tree; the next grafts and
+    raises the primes <= q over it (generator._graft_generation, the step
+    that builds bounded_value_trees).  Each generation holds the one
+    before it, and the loop stops at the first equal to it.  A value
     reached twice raises DomainError.  For q <= FIDELITY_CAP only.
     """
     _check_q(q, FIDELITY_CAP)
     limit = 2 * q
     labels = [Label(p) for p in primes_upto(q)]
-
-    def next_generation(members):
-        # keys: acc's keys that later labels may graft onto, ascending
-        acc, keys = {1: SINGLETON}, [1]
-        exponents = sorted(members)
-        for label in labels:
-            new = []
-            for e in exponents:
-                b = label.prime ** e
-                if b > limit:
-                    break
-                raised = Tree(((label, members[e]),))
-                for a in keys[:bisect_right(keys, limit // b)]:
-                    if a * b in acc:
-                        raise DomainError("a value is reached twice")
-                    acc[a * b] = graft(acc[a], raised)
-                    new.append(a * b)
-            # later labels graft onto keys <= 2q / p only; sorted merges
-            # one ascending run and one per raised tree
-            keys = sorted(v for v in keys + new if v * label.prime <= limit)
-        return acc
-
     g_old, g_new = {}, {1: SINGLETON}
     while g_new != g_old:
-        g_old, g_new = g_new, next_generation(g_new)
+        g_old, g_new = g_new, _graft_generation(labels, g_new, limit)
     return _gap_midpoints(bytes(v in g_new for v in range(limit + 1)), q)

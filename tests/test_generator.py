@@ -6,14 +6,18 @@ from primeforest.errors import DomainError, SizeOverBudget
 from primeforest.forest_algebra import Forest, graft_forests, raise_forest
 from primeforest.generator import (
     DEFAULT_CAP,
+    _graft_generation,
     all_valid_trees_bruteforce,
     bounded_value_trees,
     g_count,
     g_forest,
     g_trees,
 )
+from primeforest.primes import prime_by_index, primes_upto
 from primeforest.rationals import h_count, h_forest, rational_stream
-from primeforest.tree_core import SINGLETON, label_tree, parse_sexpr, validate
+from primeforest.sieve import eratosthenes
+from primeforest.tree_core import (SINGLETON, Label, label_tree, parse_sexpr,
+                                   validate)
 
 
 def test_g_count_values():
@@ -72,11 +76,18 @@ _THREE_FOURTHS = encode_rational(3, 4)
     lambda: eval_bounded(SINGLETON, 0.5),
     lambda: parse_sexpr(None),
     lambda: parse_sexpr(b"(r)"),
+    lambda: bounded_value_trees(range(3), 10.5),
+    lambda: bounded_value_trees(range(3), "10"),
+    lambda: eratosthenes(10.5),
+    lambda: eratosthenes("10"),
+    lambda: eratosthenes(None),
 ], ids=["g_count-float", "g_count-str", "g_count-cap", "h_count-float",
         "h_count-cap", "g_forest", "g_trees", "bruteforce", "h_forest-m",
         "h_forest-i", "h_forest-str", "rational_stream-cap",
         "eval_rational_tree-cap", "eval_bounded-bound", "parse-None",
-        "parse-bytes"])
+        "parse-bytes", "bounded_value_trees-float",
+        "bounded_value_trees-str", "eratosthenes-float", "eratosthenes-str",
+        "eratosthenes-None"])
 def test_non_integer_sizes_and_caps_are_refused(call):
     with pytest.raises(DomainError, match="not an integer|must be a str"):
         call()
@@ -224,12 +235,43 @@ def _smooth_values(primes, bound):
 
 
 def test_value_bounded_stream_vs_integer_scan():
-    from primeforest.primes import prime_by_index
-
-    cases = [([0], 600), ([0, 1], 400), ([0, 1, 2], 300), ([1, 3], 500)]
+    # (range(6), 15) is the sieve's exponent call at its largest bound
+    cases = [([0], 600), ([0, 1], 400), ([0, 1, 2], 300), ([1, 3], 500),
+             (range(6), 15), (range(168), 1000)]
     for labels, bound in cases:
         primes = [prime_by_index(k) for k in labels]
         # each value once, paired with its own tree
         pairs = bounded_value_trees(labels, bound)
         assert sorted(v for v, _ in pairs) == [1] + _smooth_values(primes, bound)
         assert all(eval_integer_tree(t) == v for v, t in pairs)
+        assert all(t == encode_integer(v) for v, t in pairs)
+    # the 168 primes below 1000 are the only labels that add a value
+    assert bounded_value_trees(range(10 ** 4), 1000) \
+        == bounded_value_trees(range(168), 1000)
+
+
+def test_value_bounded_budget_and_indices():
+    with pytest.raises(DomainError, match="not iterable"):
+        bounded_value_trees(3, 10)
+    with pytest.raises(DomainError, match=">= 0"):
+        bounded_value_trees([0, -1], 10)
+    # refused before any prime is listed or tree built
+    with pytest.raises(SizeOverBudget) as info:
+        bounded_value_trees(range(3), DEFAULT_CAP + 1)
+    assert (info.value.requested, info.value.cap) \
+        == (DEFAULT_CAP + 1, DEFAULT_CAP)
+    # an index whose prime is above the bound, or above the prime cap,
+    # adds no value
+    assert bounded_value_trees([0, 10 ** 9], 16) \
+        == bounded_value_trees([0], 16)
+
+
+@pytest.mark.parametrize("q", [13, 211, 1009])
+def test_graft_generation_fixpoint_is_the_value_bounded_set(q):
+    # the fidelity sieve's fixpoint over the primes <= q holds the trees
+    # that bounded_value_trees builds in one step over their exponents
+    labels = [Label(p) for p in primes_upto(q)]
+    old, new = {}, {1: SINGLETON}
+    while new != old:
+        old, new = new, _graft_generation(labels, new, 2 * q)
+    assert new == dict(bounded_value_trees(range(len(labels)), 2 * q))
