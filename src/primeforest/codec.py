@@ -2,10 +2,13 @@
 
 Evaluation maps sibling branches to multiplication and a child subtree to
 its parent prime's exponent, leaves first (exponentiation does not
-associate).  All three evaluators run one walk, _value, exact or under a
-bound, and look for inverted labels at the root only: Tree keeps them
-there.  Encoding inverts this by factoring; factor(1), the empty product,
-is empty.  Only encode_integer reads its table of the trees of 1..127.
+associate).  All three evaluators run one walk, _value, over a tuple of
+branches, exact or under a bound.  Inverted labels sit at the root only
+and last in it (Tree keeps them there), so eval_rational_tree splits the
+root at its first inverted branch and walks the numerator's branches and
+the denominator's apart.  Encoding inverts this by factoring; factor(1),
+the empty product, is empty.  Only encode_integer reads its table of the
+trees of 1..127.
 """
 
 from collections import Counter
@@ -56,23 +59,22 @@ def eval_rational_tree(t, cap=None):
     and each root exponent is bounded before its power is taken, so no
     value far above the cap is ever built.
     """
-    if cap is not None and (cap := as_integer(cap)) < 1:
-        raise _past_cap(cap)
-    num = den = 1
-    for label, sub in t.branches:
-        p = label.prime
-        e = _value(sub, None if cap is None else _max_exponent(cap, p))
-        if e is OVER_BOUND:
-            raise _past_cap(cap)
-        if label.inverted:
-            den *= p ** e
-        else:
-            num *= p ** e
-        if cap is not None and max(num, den) > cap:
-            raise _past_cap(cap)
+    cap = None if cap is None else as_integer(cap)
+    branches = t.branches
+    if branches and branches[-1][0].inverted:
+        # canonical order puts the inverted branches last
+        split = len(branches) - 1
+        while split and branches[split - 1][0].inverted:
+            split -= 1
+        num, den = _value(branches[:split], cap), _value(branches[split:], cap)
+    else:
+        num, den = _value(branches, cap), 1
+    if num is OVER_BOUND or den is OVER_BOUND:
+        raise SizeOverBudget(f"the value exceeds the cap {_approx(cap)}",
+                             cap=cap)
     # reduced by construction: a prime never heads both a plain and an
-    # inverted root branch
-    return Fraction(num, den)
+    # inverted root branch; Fraction(num) skips the gcd of Fraction(num, 1)
+    return Fraction(num, den) if den > 1 else Fraction(num)
 
 
 def encode_rational(num, den=1):
@@ -83,10 +85,6 @@ def encode_rational(num, den=1):
     g = gcd(num, den)
     return Tree(_factor_branches(num // g)
                 + _factor_branches(den // g, inverted=True))
-
-
-def _past_cap(cap):
-    return SizeOverBudget(f"the value exceeds the cap {_approx(cap)}", cap=cap)
 
 
 def _approx(n):
@@ -111,18 +109,19 @@ def eval_bounded(t, bound):
     """
     if t.has_inverted:
         raise InverseLabelPresent("tree carries inverted labels")
-    return _value(t, None if bound is None else as_integer(bound))
+    return _value(t.branches, None if bound is None else as_integer(bound))
 
 
-def _value(t, bound=None):
-    """The value of a tree without inverted labels; given a bound,
-    OVER_BOUND once the value passes it."""
+def _value(branches, bound=None):
+    """The product of p^e over branches p -> (tree of e), none inverted;
+    given a bound, OVER_BOUND once the product passes it."""
     if bound is not None and bound < 1:
         return OVER_BOUND
     value = 1
-    for label, sub in t.branches:
+    for label, sub in branches:
         p = label.prime
-        e = _value(sub, None if bound is None else _max_exponent(bound, p))
+        e = _value(sub.branches,
+                   None if bound is None else _max_exponent(bound, p))
         if e is OVER_BOUND:
             return OVER_BOUND
         value *= p ** e

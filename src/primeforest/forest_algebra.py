@@ -7,7 +7,7 @@ subtree pairs found equal, so each shared subtree pair is walked once."""
 
 from bisect import bisect_left
 
-from .errors import SiblingCollision
+from .errors import DomainError, SiblingCollision
 from .tree_core import SINGLETON, Tree, _cmp, graft, to_sexpr
 
 
@@ -17,6 +17,10 @@ class Forest:
     __slots__ = ("trees",)
 
     def __init__(self, trees=()):
+        trees = tuple(trees)
+        for t in trees:
+            if not isinstance(t, Tree):
+                raise DomainError(f"a Forest holds trees only, not {t!r}")
         # dict keeps input order, so canonical input sorts in one pass
         object.__setattr__(self, "trees", tuple(sorted(dict.fromkeys(trees))))
 

@@ -134,7 +134,8 @@ def bounded_value_trees(prime_indices, bound):
     """All (value, tree) pairs with value <= bound over the given labels,
     singleton included.  Values are exactly the integers in [1, bound]
     whose factorization, recursively through exponents, stays inside the
-    label set.  An index whose prime is above the bound adds no value.
+    label set.  An index whose prime is above the bound adds no value, and
+    a range ascending past the prime count is clipped before it is walked.
     A bound above DEFAULT_CAP raises SizeOverBudget; a negative or
     non-integer index or bound, or indices that are not iterable, raise
     DomainError.
@@ -144,6 +145,9 @@ def bounded_value_trees(prime_indices, bound):
         raise SizeOverBudget(f"bound {bound} exceeds the cap {DEFAULT_CAP}",
                              requested=bound, cap=DEFAULT_CAP)
     primes = primes_upto(bound)
+    r = prime_indices
+    if isinstance(r, range) and r.step > 0:
+        prime_indices = range(r.start, min(r.stop, len(primes)), r.step)
     try:
         indices = iter(prime_indices)
     except TypeError:

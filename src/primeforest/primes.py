@@ -1,7 +1,7 @@
 """Primality, prime counting and the k-th prime, as pure functions.
 
 SMALL_PRIMES, the primes below 2^16, is a tuple sieved once at import.
-Below 2^16, is_prime and prime_index_of are one bisect of it.  From 2^16
+Below 2^16, is_prime is one bisect of it, prime_index_of another.  From 2^16
 on, is_prime is deterministic Miller-Rabin with the first 13 prime bases,
 exact below MR_BOUND ~ 3.3 * 10^24 (Sorenson and Webster 2015).  Smaller n
 need fewer bases: below the least strong pseudoprime to the first k prime
@@ -12,11 +12,13 @@ guessed prime, and a number of more than MR_BIT_CAP bits with no base
 factor raises it before any base runs.  Tree labels are checked by is_prime
 alone.
 
-Above 2^16, primes_upto sieves, prime_index_of(p) is pi(p) - 1 by a
-Lucy-style count (Lagarias, Miller and Odlyzko 1985), and prime_by_index
-counts the primes below Dusart's bracket on the k-th prime and sieves
-the bracket.  Primes, indices and bounds past PRIME_CAP = 10^8 raise
-SizeOverBudget with ``requested`` and ``cap``; non-integers raise DomainError.
+prime_index_of asks is_prime first, so a p >= MR_BOUND that no base
+proves composite gets cap == MR_BOUND, not PRIME_CAP.  Above 2^16,
+primes_upto sieves, prime_index_of(p) is pi(p) - 1 by a Lucy-style count
+(Lagarias, Miller and Odlyzko 1985), and prime_by_index counts the primes
+below Dusart's bracket on the k-th prime and sieves the bracket.  Primes,
+indices and bounds past PRIME_CAP = 10^8 raise SizeOverBudget with
+``requested`` and ``cap``; non-integers raise DomainError.
 """
 
 from bisect import bisect_left, bisect_right
@@ -118,13 +120,6 @@ def _proven_composite(n):
     return False
 
 
-def _small_index(n):
-    """For n < 2^16: the index of n in SMALL_PRIMES, or -1 if n is not
-    prime."""
-    i = bisect_left(SMALL_PRIMES, n)
-    return i if i < len(SMALL_PRIMES) and SMALL_PRIMES[i] == n else -1
-
-
 def prime_by_index(k):
     """Return the k-th prime, counting from prime_by_index(0) == 2.
 
@@ -151,21 +146,19 @@ def prime_by_index(k):
 def prime_index_of(p):
     """Inverse of prime_by_index.
 
-    Raises NotPrime if p is not prime, and SizeOverBudget (requested=p)
-    if p is a prime above PRIME_CAP.
+    Asks is_prime first, so p that is not prime raises NotPrime, and p that
+    is_prime refuses raises its SizeOverBudget: cap == MR_BOUND for p >=
+    MR_BOUND that no base proves composite.  A prime above PRIME_CAP raises
+    SizeOverBudget (requested=p, cap=PRIME_CAP).
     """
     p = as_integer(p)
-    if p < 1 << 16:
-        i = _small_index(p)
-    elif _proven_composite(p):
-        i = -1
-    elif p > PRIME_CAP:
-        raise _over_cap("prime", p)
-    else:
-        i = _prime_count(p) - 1
-    if i < 0:
+    if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    return i
+    if p < 1 << 16:
+        return bisect_left(SMALL_PRIMES, p)
+    if p > PRIME_CAP:
+        raise _over_cap("prime", p)
+    return _prime_count(p) - 1
 
 
 def is_prime(n):
@@ -177,7 +170,8 @@ def is_prime(n):
     """
     n = as_integer(n)
     if n < 1 << 16:
-        return _small_index(n) >= 0
+        i = bisect_left(SMALL_PRIMES, n)
+        return i < len(SMALL_PRIMES) and SMALL_PRIMES[i] == n
     if _proven_composite(n):
         return False
     if n >= MR_BOUND:

@@ -1,11 +1,12 @@
 import copy
 import itertools
 import pickle
+import re
 
 import pytest
 
 from primeforest.codec import encode_rational
-from primeforest.errors import SiblingCollision
+from primeforest.errors import DomainError, SiblingCollision
 from primeforest.forest_algebra import (
     Forest,
     graft_forests,
@@ -22,6 +23,11 @@ def test_forest_dedupes_and_orders():
     f = Forest([label_tree(1), SINGLETON, label_tree(0), label_tree(0)])
     assert len(f) == 3
     assert list(f)[0] == SINGLETON
+    # a member that is not a tree is refused by name before any hash or sort
+    for members, first in (([1, 2], "1"), ([SINGLETON, 1], "1"),
+                           ([[1]], "[1]")):
+        with pytest.raises(DomainError, match=rf"not {re.escape(first)}$"):
+            Forest(members)
 
 
 def test_graft_forests_pairwise():

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from primeforest.codec import (encode_integer, encode_rational, eval_bounded,
@@ -264,6 +266,14 @@ def test_value_bounded_budget_and_indices():
     # adds no value
     assert bounded_value_trees([0, 10 ** 9], 16) \
         == bounded_value_trees([0], 16)
+    # an ascending range is clipped to the prime count before it is walked,
+    # and a negative index in it is still refused
+    start = time.perf_counter()
+    assert bounded_value_trees(range(10 ** 9), 10) \
+        == bounded_value_trees(range(4), 10)
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(DomainError, match=">= 0"):
+        bounded_value_trees(range(-1, 10 ** 9), 10)
 
 
 @pytest.mark.parametrize("q", [13, 211, 1009])

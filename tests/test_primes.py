@@ -137,10 +137,12 @@ def test_strong_pseudoprimes_are_composite():
     for psi, _ in _MR_PLAN[:-1]:
         assert _proven_composite(psi), psi
         assert not is_prime(psi), psi
-    # MR_BOUND passes all 13 bases, so primality is refused, not guessed
-    with pytest.raises(SizeOverBudget) as info:
-        is_prime(MR_BOUND)
-    assert info.value.requested == MR_BOUND
+    # MR_BOUND passes all 13 bases, so primality is refused, not guessed,
+    # and prime_index_of refuses it through is_prime, not at PRIME_CAP
+    for fn in (is_prime, prime_index_of):
+        with pytest.raises(SizeOverBudget) as info:
+            fn(MR_BOUND)
+        assert info.value.requested == info.value.cap == MR_BOUND
 
 
 def test_past_the_cap():
