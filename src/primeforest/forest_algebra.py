@@ -1,9 +1,10 @@
 """Duplicate-free forests, ordered_trees (the canonical enumerator the
-library lists through) and the paper's operators: graft_forests,
-raise_forest and Forest.union, kept with tree_core.singleton() as public
-exports, the tests' oracles and the bench's forest probe.  Forest ==
-compares its pairs of trees by tree_core._cmp with one shared set of the
-subtree pairs found equal, so each shared subtree pair is walked once."""
+library lists through) and the paper's operators graft_forests and
+raise_forest.  A Forest is a tuple of distinct trees in canonical order,
+equal to any tuple of the same trees, and its == walks each pair of
+subtrees the trees share once.  The operators, Forest.union and the
+trees property stay, with tree_core.singleton(), as public exports, the
+tests' oracles and the bench's forest probe."""
 
 from bisect import bisect_left
 
@@ -11,58 +12,49 @@ from .errors import DomainError, SiblingCollision
 from .tree_core import SINGLETON, Tree, _cmp, graft, to_sexpr
 
 
-class Forest:
-    """An immutable set of trees, iterated in canonical tree order."""
+class Forest(tuple):
+    """Distinct trees in canonical order, equal to any tuple of the same
+    trees; trees (the forest itself) and union stay for the bench probe."""
 
-    __slots__ = ("trees",)
+    __slots__ = ()
 
-    def __init__(self, trees=()):
+    def __new__(cls, trees=()):
         trees = tuple(trees)
         for t in trees:
             if not isinstance(t, Tree):
                 raise DomainError(f"a Forest holds trees only, not {t!r}")
         # dict keeps input order, so canonical input sorts in one pass
-        object.__setattr__(self, "trees", tuple(sorted(dict.fromkeys(trees))))
+        return super().__new__(cls, sorted(dict.fromkeys(trees)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Forest is immutable")
-
-    def __reduce__(self):
-        return Forest, (self.trees,)
-
-    def __iter__(self):
-        return iter(self.trees)
-
-    def __len__(self):
-        return len(self.trees)
+    trees = property(lambda self: self)
 
     def __contains__(self, t):
         if not isinstance(t, Tree):
             return False
-        i = bisect_left(self.trees, t)
-        return i < len(self.trees) and self.trees[i] == t
+        i = bisect_left(self, t)
+        return i < len(self) and self[i] == t
 
     def __eq__(self, other):
-        if not isinstance(other, Forest) or len(self) != len(other):
+        if not isinstance(other, tuple) or len(self) != len(other):
             return False
         # subtree pairs found equal, shared across the pairs of trees: two
         # forests built apart each share their subtrees, so each pair of
         # those is walked once (g_forest(1, h) in O(h), not O(h^2))
         same = set()
-        return all(hash(a) == hash(b) and _cmp(a, b, same) == 0
-                   for a, b in zip(self.trees, other.trees))
+        return all(isinstance(b, Tree) and hash(a) == hash(b)
+                   and _cmp(a, b, same) == 0 for a, b in zip(self, other))
 
-    def __hash__(self):
-        return hash(self.trees)
+    def __ne__(self, other):
+        # tuple's own != would walk every pair of trees apart
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     def __repr__(self):
         return f"Forest<{len(self)} trees>"
 
     def union(self, other):
-        return Forest(self.trees + tuple(other))
-
-
-UNIT_FOREST = Forest([SINGLETON])
+        return Forest(self + tuple(other))
 
 
 def graft_forests(f, g):
@@ -86,7 +78,7 @@ def raise_forest(t, forest):
     collapses everything to the singleton.
     """
     if t.is_singleton:
-        return UNIT_FOREST
+        return Forest([SINGLETON])
     # t's distinct subtree objects, lowest first: each is rebuilt once and
     # after its own subtrees, with no recursion however tall t is
     subs = sorted({id(sub): sub for _, sub in t._walk()}.values(),
@@ -108,14 +100,13 @@ def ordered_trees(labels, subs, height):
     branches pair distinct-prime `labels` (ascending sort_rank) with
     subtrees from `subs`, each below `height`.  The order is height, arity,
     then branch by branch the label and the subtree, so picking each
-    position's label and then its subtree lists them sorted.  subs must be
-    in canonical order, which sorts by height first, so its tall subtrees,
-    of height `height` - 1, are a suffix.  A recursive walk picks all but
-    the last branch; the last is added per run, one run of subtrees per
-    label left: all of subs after a prefix holding a tall subtree, else
-    the tall suffix.
+    position's label and then its subtree lists them sorted.  subs is a
+    sequence in canonical order, which sorts by height first, so its tall
+    subtrees, of height `height` - 1, are a suffix.  A recursive walk
+    picks all but the last branch; the last is added per run, one run of
+    subtrees per label left: all of subs after a prefix holding a tall
+    subtree, else the tall suffix.
     """
-    subs = tuple(subs)      # stage_trees passes a Forest, which has no index
     cut = bisect_left(subs, height - 1, key=lambda sub: sub.height)
     # each (label, sub) pair is built once and shared by every tree using it
     pairs = [[(label, sub) for sub in subs] for label in labels]

@@ -84,7 +84,8 @@ def _check_listing(n, h):
 def g_forest(n, h):
     """The forest of all validly labeled trees over n labels, height <= h."""
     _check_listing(n, h)
-    labels = [Label(p) for p in first_primes(n)]
+    # height 0 asks for no labels, so it lists the singleton for any n
+    labels = [Label(p) for p in first_primes(n if h else 0)]
     trees = [SINGLETON]
     # with no labels, no height adds a tree to the singleton
     for height in range(1, h + 1 if n else 1):
@@ -101,7 +102,7 @@ def g_trees(n, h):
         return iter(g_forest(n, 0))
     lower = g_forest(n, h - 1)
     labels = [Label(p) for p in first_primes(n)]
-    return itertools.chain(lower, ordered_trees(labels, lower.trees, h))
+    return itertools.chain(lower, ordered_trees(labels, lower, h))
 
 
 def all_valid_trees_bruteforce(n, h):
@@ -112,7 +113,8 @@ def all_valid_trees_bruteforce(n, h):
     bottom up, under g_forest's listing budget.
     """
     _check_listing(n, h)
-    labels = [Label(p) for p in first_primes(n)]
+    # as in g_forest, height 0 asks for no labels
+    labels = [Label(p) for p in first_primes(n if h else 0)]
     # branches -> tree: each distinct tree is built once, so a level holds
     # no copies of the trees below it and memory stays within the forest
     known = {}

@@ -54,7 +54,7 @@ def h_forest(i, m):
     h_count(i, m, DEFAULT_CAP)
     _check_listing(m, i + 1)
     labels = [Label(p, inv) for inv in (False, True) for p in first_primes(m)]
-    subs = g_forest(m, i).trees
+    subs = g_forest(m, i)
     trees = [SINGLETON]
     for height in range(1, i + 2 if m else 1):
         trees += ordered_trees(labels, subs[:g_count(m, height - 1)], height)

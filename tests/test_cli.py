@@ -346,8 +346,11 @@ def test_factors_and_prime_indices_past_the_small_primes():
             (["encode", "1000000016000000063"],
              "(r (1000000007) (1000000009))\n", 1),
             (["rationals", "--locate", "99999989"], "5761455\n", 0.5),
-            # the labels are the first 10^5 primes, counted once
-            (["forest", "--labels", "100000", "--height", "0"], "(r)\n", 2)):
+            # height 0 asks for no labels: not the first 10^5 primes, nor
+            # 6 * 10^6 of them, past the prime cap
+            (["forest", "--labels", "100000", "--height", "0"], "(r)\n", 2),
+            (["forest", "--labels", "6000000", "--height", "0"], "(r)\n",
+             10)):
         assert run_cli(*argv, timeout=seconds) == (0, expected, ""), argv
 
 

@@ -87,7 +87,7 @@ def test_raise_of_singleton_member_is_identity():
 
 def test_raising_a_tall_tree_needs_no_recursion():
     # a chain of 1,500 labels 2, past the default recursion limit
-    tall = g_forest(1, 1500).trees[-1]
+    tall = g_forest(1, 1500)[-1]
     assert [t.height for t in raise_forest(tall, g_forest(1, 1))] \
         == [1500, 1501]
 
@@ -113,8 +113,8 @@ def test_forests_built_apart_differ_at_the_bottom():
     assert len(other) == len(tall) and other != tall
     assert Forest(list(other)[:-1] + [list(tall)[-1]]) == apart
     same = set()
-    assert _cmp(tall.trees[-1], apart.trees[-1], same) == 0
-    assert _cmp(chain, apart.trees[-1], same) == 1
+    assert _cmp(tall[-1], apart[-1], same) == 0
+    assert _cmp(chain, apart[-1], same) == 1
 
 
 def test_set_operations():
@@ -124,17 +124,27 @@ def test_set_operations():
     assert label_tree(0) in f
     assert label_tree(0) not in g
     assert 3 not in f and "(r)" not in f
+    # kept for the bench's forest probe: the forest is its own trees
+    assert f.trees is f
 
 
+def _pickled_at(protocol):
+    return lambda x: pickle.loads(pickle.dumps(x, protocol))
+
+
+# protocols 0 and 1 rebuild a tuple subclass without calling its __new__
 @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
-                                    lambda x: pickle.loads(pickle.dumps(x))])
+                                    lambda x: pickle.loads(pickle.dumps(x))]
+                         + [pytest.param(_pickled_at(p), id=f"protocol{p}")
+                            for p in range(pickle.HIGHEST_PROTOCOL + 1)])
 def test_trees_and_forests_copy_and_pickle(copier):
     def texts(x):
         return [to_sexpr(t) for t in (x if isinstance(x, Forest) else [x])]
 
     forest = g_forest(2, 2)
-    for x in (encode_rational(8, 9), forest.trees[-1], forest):
+    for x in (encode_rational(8, 9), forest[-1], forest):
         y = copier(x)
+        assert type(y) is type(x)
         assert y == x and hash(y) == hash(x) and texts(y) == texts(x)
 
 
@@ -161,7 +171,7 @@ def _reference(labels, subs, height):
 @pytest.mark.parametrize("height", [1, 2, 3])
 def test_ordered_trees_matches_the_reference(n, height, signed):
     labels = _labels(n, signed)
-    subs = g_forest(n, height - 1).trees
+    subs = g_forest(n, height - 1)
     if (n, height) == (3, 3):
         # G(3, 2)'s 729 trees are too many for the reference: keep a
         # canonical-order sample of every height below 3
@@ -173,7 +183,7 @@ def test_ordered_trees_matches_the_reference(n, height, signed):
 @pytest.mark.parametrize("signed", [False, True])
 def test_ordered_trees_needs_a_subtree_one_below_the_height(signed):
     labels = _labels(2, signed)
-    subs = g_forest(2, 1).trees
+    subs = g_forest(2, 1)
     assert _reference(labels, subs, 3) == []
     assert list(ordered_trees(labels, subs, 3)) == []
 
@@ -181,7 +191,7 @@ def test_ordered_trees_needs_a_subtree_one_below_the_height(signed):
 def test_ordered_trees_over_one_label_is_the_tower():
     chain = SINGLETON
     for height in range(1, 31):
-        subs = g_forest(1, height - 1).trees
+        subs = g_forest(1, height - 1)
         chain = Tree(((Label(2), chain),))
         assert list(ordered_trees([Label(2)], subs, height)) == [chain]
 

@@ -129,8 +129,11 @@ def test_g_forest_small():
 
 
 def test_g_forest_height_zero():
-    for n in (1, 2, 5):
+    # height 0 asks for no labels, so n past the prime cap lists the same
+    for n in (1, 2, 5, 10 ** 7):
         assert list(g_forest(n, 0)) == [SINGLETON]
+        assert list(g_trees(n, 0)) == [SINGLETON]
+        assert list(all_valid_trees_bruteforce(n, 0)) == [SINGLETON]
 
 
 def test_g_forest_single_label_towers():
@@ -150,7 +153,7 @@ def test_g_forest_matches_bruteforce():
                  (3, 1), (3, 2)]:
         # the brute force builds in product order, so this checks Forest's
         # sort of unsorted input against the enumerator's canonical order
-        assert g_forest(n, h).trees == all_valid_trees_bruteforce(n, h).trees
+        assert g_forest(n, h) == all_valid_trees_bruteforce(n, h)
 
 
 def _graft_raise_recurrence(n, h):
@@ -169,7 +172,7 @@ def _graft_raise_recurrence(n, h):
 
 def test_g_forest_matches_graft_raise_recurrence():
     for n, h in [(1, 3), (2, 2), (3, 2), (4, 1)]:
-        assert g_forest(n, h).trees == _graft_raise_recurrence(n, h).trees
+        assert g_forest(n, h) == _graft_raise_recurrence(n, h)
 
 
 def test_bruteforce_single_label():
@@ -188,6 +191,10 @@ def test_g_forest_monotone_strict():
             small, big = g_forest(n, h), g_forest(n, h + 1)
             assert all(t in big for t in small)
             assert len(big) > len(small)
+            # a listing is a tuple whose lower heights are a prefix, which
+            # h_forest slices
+            assert isinstance(big, tuple)
+            assert big[:g_count(n, h)] == small
 
 
 def test_size_cap():

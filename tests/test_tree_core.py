@@ -186,7 +186,7 @@ def test_order_matches_reference_key(rng):
 _DRAWN_TREES = st.one_of(
     st.builds(encode_rational, st.integers(1, 10 ** 6),
               st.integers(1, 10 ** 6)),
-    st.sampled_from(g_forest(3, 2).trees))
+    st.sampled_from(g_forest(3, 2)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -320,7 +320,11 @@ def test_an_inverse_behind_a_plain_label_below_the_root_is_refused():
 
 
 def test_tall_generated_forests_compare_equal():
-    assert g_forest(1, 2000) == g_forest(1, 2000)
+    a, b = g_forest(1, 2000), g_forest(1, 2000)
+    assert a == b and not (a != b)
+    # a forest is the tuple of its trees, compared through the same memo
+    assert a == tuple(b)
+    assert hash(a) == hash(tuple(a))
 
 
 def _forget_printed_text(trees):
