@@ -146,7 +146,7 @@ def _cmd_sieve(args, out):
     if args.show_composites:
         out.writelines(f"{value}\t{to_sexpr(tree)}\n"
                        for value, tree in sieve.composites_in_window(args.q))
-    out.write("".join(f"{p}\n" for p in primes))
+    out.write("".join([f"{p}\n" for p in primes]))
     return 0
 
 

@@ -9,7 +9,9 @@ grafted one label at a time, as generator's graft-and-raise step grafts
 trees for literal_fixpoint_sieve, but over the window's flags: each
 label writes the products before it into the strided slices of its
 powers.  Each value is marked once, which one count of the flags checks
-at the end.  An exponent is itself a tree's value over the same labels,
+at the end.  The primes above isqrt(2q) take exponent 1 only and go in
+together by multiplier rows: one slice of step m for each small m, in
+ascending m.  An exponent is itself a tree's value over the same labels,
 so the exponents come from bounded_value_trees.  Trees are built, by
 encode_integer, only for composites_in_window (`sieve --show-composites`).
 The gap scan runs from q to 2q: both ends are marked (q = q^1, and the
@@ -28,10 +30,16 @@ from .generator import _graft_generation, bounded_value_trees
 from .primes import is_prime, primes_upto
 from .tree_core import SINGLETON, Label
 
-# `sieve 3999971` takes about 1 s and 45 MB peak RSS (Python 3.11, 2 vCPU)
+# `sieve 3999971` takes about 0.4 s and 45 MB peak RSS (Python 3.11, 2 vCPU)
 SIEVE_CAP = 4 * 10 ** 6
 # `sieve 39989 --fidelity` takes 1.2-2 s and 63 MB peak RSS (same host)
 FIDELITY_CAP = 39989
+# Multipliers of the primes above isqrt(2q) written as rows, the rest per
+# prime.  _composite_flags at q = 30011 / 400009 / 3999971 in ms, best of
+# six (Python 3.11.7, 2 vCPU): one write per prime 1.42 / 23.3 / 273; 16,
+# 32 or 64 rows 0.69-0.75 / 15.8-16.4 / 210-216; rows for every multiplier,
+# few marks each at a wide stride, 0.80 / 17.5 / 270.
+_ROWS = 32
 
 
 def eratosthenes(n):
@@ -79,11 +87,15 @@ def _composite_flags(q):
 
     Grafted one label at a time: with the products over the primes before
     p flagged, those times p^e fill the slice of step p^e, zero till then.
-    A prime p above isqrt(2q) takes exponent 1 only, and every m <= 2q/p
-    is below p and so already a product: its marks are all such m * p.
-    Distinct marks set distinct flags, so a count of the flags short of
-    the marks means a value reached twice, which would break the
-    bijection and raises DomainError.
+    A prime p above root = isqrt(2q) takes exponent 1 only, and every
+    m <= 2q/p is below p and so already a product: its marks are all such
+    m * p.  For m <= _ROWS they go in by rows: row m copies rows[x], set
+    for the products and large primes x <= q, to m * x for root < x <=
+    2q/m.  It also writes 0 at each m * a * p, which row m * a or the
+    per-prime tail marks later, so the rows go in ascending m.  Distinct
+    marks set distinct flags, so a count of the flags short of the marks
+    means a value reached twice, which would break the bijection and
+    raises DomainError.
     """
     primes = primes_upto(q)
     limit = 2 * q
@@ -95,13 +107,8 @@ def _composite_flags(q):
     flags[1] = 1  # the empty product
     marks = 1
     root = isqrt(limit)
-    ones = b"\x01" * (root + 1)
-    for p in primes:
-        if p > root:
-            n = limit // p
-            flags[p:n * p + 1:p] = ones[:n]
-            marks += n
-            continue
+    big = bisect_right(primes, root)
+    for p in primes[:big]:
         below = flags[:limit // p + 1]
         for e in exponents:
             step = p ** e
@@ -110,6 +117,19 @@ def _composite_flags(q):
             n = limit // step + 1
             flags[::step] = below[:n]
             marks += below.count(1, 0, n)
+    rows = flags[:q + 1]
+    for p in primes[big:]:
+        rows[p] = 1
+    rowed = min(_ROWS, limit // (root + 1))
+    for m in range(1, rowed + 1):
+        top = min(q, limit // m)
+        flags[m * (root + 1):m * top + 1:m] = rows[root + 1:top + 1]
+        marks += bisect_right(primes, top) - big
+    ones = b"\x01" * (root + 1)
+    for p in primes[big:bisect_right(primes, limit // (_ROWS + 1))]:
+        n = limit // p - _ROWS
+        flags[(_ROWS + 1) * p:limit + 1:p] = ones[:n]
+        marks += n
     if flags.count(1) != marks:
         raise DomainError("a value is reached twice")
     flags[1] = 0

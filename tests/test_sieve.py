@@ -108,12 +108,25 @@ def test_a_value_reached_twice_is_refused(monkeypatch):
 
 
 def test_a_leaf_reached_twice_is_refused(monkeypatch):
-    # a repeated largest prime writes each m * 13 twice, in the direct
-    # writes above isqrt(2q), which the count of marks catches at the end
+    # a repeated largest prime counts each m * 13 twice in the rows: at
+    # q = 13, 2q // (isqrt(2q) + 1) = 4 < _ROWS, so only rows run, and the
+    # count of marks catches it at the end
     monkeypatch.setattr(sieve, "primes_upto",
                         lambda n: [2, 3, 5, 7, 11, 13, 13])
     with pytest.raises(DomainError, match="reached twice"):
         combinatorial_sieve(13)
+
+
+@pytest.mark.parametrize("prime", [47, 61, 67, 1009])
+def test_a_repeated_large_prime_is_refused(monkeypatch, prime):
+    # at q = 1009, isqrt(2q) = 44: the rows cover every prime above it and
+    # the per-prime tail the primes up to 2q // (_ROWS + 1) = 61, so 47 and
+    # 61 repeat in both and 67 and 1009 in the rows only
+    primes = primes_upto(1009)
+    primes.insert(primes.index(prime), prime)
+    monkeypatch.setattr(sieve, "primes_upto", lambda n: primes)
+    with pytest.raises(DomainError, match="reached twice"):
+        combinatorial_sieve(1009)
 
 
 @pytest.mark.parametrize("primes", [[2, 2, 3, 5, 7, 11, 13],
@@ -127,7 +140,10 @@ def test_a_repeated_small_prime_is_refused(monkeypatch, primes):
 
 
 def test_composite_flags_match_an_oracle():
-    # flags[v] is set for every v >= 2 up to 2q except the window's primes
+    # flags[v] is set for every v >= 2 up to 2q except the window's primes.
+    # Both ways of writing the primes above isqrt(2q) are covered: the
+    # rows alone (every prime q below about 545 has no per-prime tail),
+    # and rows with the tail (the larger q <= 3000 and the seeded q)
     rng = random.Random(27)
     seeded = [10 ** 6] + [rng.randrange(10 ** 4, 10 ** 6) for _ in range(3)]
     qs = eratosthenes(3000) + [next(k for k in range(n, 1, -1) if is_prime(k))
