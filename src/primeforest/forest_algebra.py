@@ -1,20 +1,20 @@
 """Duplicate-free forests, ordered_trees (the canonical enumerator the
 library lists through) and the paper's operators graft_forests and
-raise_forest.  A Forest is a tuple of distinct trees in canonical order,
-equal to any tuple of the same trees, and its == walks each pair of
-subtrees the trees share once.  The operators, Forest.union and the
-trees property stay, with tree_core.singleton(), as public exports, the
-tests' oracles and the bench's forest probe."""
+raise_forest.  A Forest is a tuple of distinct trees in canonical order;
+its ==, hash, in and repr are tuple's, and tree_core.same_trees compares
+two listings through the subtrees they share.  The operators,
+Forest.union and the trees property stay, with tree_core.singleton(), as
+public exports, the tests' oracles and the bench's forest probe."""
 
 from bisect import bisect_left
 
 from .errors import DomainError, SiblingCollision
-from .tree_core import SINGLETON, Tree, _cmp, graft, to_sexpr
+from .tree_core import SINGLETON, Tree, graft, to_sexpr
 
 
 class Forest(tuple):
-    """Distinct trees in canonical order, equal to any tuple of the same
-    trees; trees (the forest itself) and union stay for the bench probe."""
+    """Distinct trees in canonical order, a tuple in all but its checks;
+    trees (the forest itself) and union stay for the bench probe."""
 
     __slots__ = ()
 
@@ -27,31 +27,6 @@ class Forest(tuple):
         return super().__new__(cls, sorted(dict.fromkeys(trees)))
 
     trees = property(lambda self: self)
-
-    def __contains__(self, t):
-        if not isinstance(t, Tree):
-            return False
-        i = bisect_left(self, t)
-        return i < len(self) and self[i] == t
-
-    def __eq__(self, other):
-        if not isinstance(other, tuple) or len(self) != len(other):
-            return False
-        # subtree pairs found equal, shared across the pairs of trees: two
-        # forests built apart each share their subtrees, so each pair of
-        # those is walked once (g_forest(1, h) in O(h), not O(h^2))
-        same = set()
-        return all(isinstance(b, Tree) and hash(a) == hash(b)
-                   and _cmp(a, b, same) == 0 for a, b in zip(self, other))
-
-    def __ne__(self, other):
-        # tuple's own != would walk every pair of trees apart
-        return not self == other
-
-    __hash__ = tuple.__hash__
-
-    def __repr__(self):
-        return f"Forest<{len(self)} trees>"
 
     def union(self, other):
         return Forest(self + tuple(other))

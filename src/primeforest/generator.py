@@ -110,7 +110,8 @@ def all_valid_trees_bruteforce(n, h):
 
     Each of the n child slots of a vertex is either absent or carries any
     subtree of the level below; slot k maps to label k.  Levels are built
-    bottom up, under g_forest's listing budget.
+    bottom up, under g_forest's listing budget; the top one, sorted by tree
+    comparison rather than listed by ordered_trees, is the tuple returned.
     """
     _check_listing(n, h)
     # as in g_forest, height 0 asks for no labels
@@ -129,7 +130,7 @@ def all_valid_trees_bruteforce(n, h):
             if t is None:
                 t = known[branches] = Tree(branches)
             level.append(t)
-    return Forest(level)
+    return tuple(sorted(level))
 
 
 def bounded_value_trees(prime_indices, bound):

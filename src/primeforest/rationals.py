@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .codec import eval_rational_tree
 from .errors import DomainError, as_integer
-from .forest_algebra import Forest, ordered_trees
+from .forest_algebra import ordered_trees
 from .generator import (DEFAULT_CAP, _capped_power, _check_listing, _integers,
                         g_count, g_forest)
 from .primes import first_primes, prime_index_of
@@ -46,11 +46,11 @@ def h_count(i, m, cap=None):
 
 
 def h_forest(i, m):
-    """All rational trees over the first m primes whose root branches carry
-    exponent trees of height <= i.  Height k hangs the first g_count(m,
-    k - 1) trees of one G(m, i), whose first sort key is height; with no
-    primes it stops at height 1.  Refused over h_count's cap, and wherever
-    listing G(m, i + 1) is."""
+    """The tuple of all rational trees over the first m primes whose root
+    branches carry exponent trees of height <= i, as ordered_trees lists
+    them.  Height k hangs the first g_count(m, k - 1) trees of one G(m, i),
+    whose first sort key is height; with no primes it stops at height 1.
+    Refused over h_count's cap, and wherever listing G(m, i + 1) is."""
     h_count(i, m, DEFAULT_CAP)
     _check_listing(m, i + 1)
     labels = [Label(p, inv) for inv in (False, True) for p in first_primes(m)]
@@ -58,7 +58,7 @@ def h_forest(i, m):
     trees = [SINGLETON]
     for height in range(1, i + 2 if m else 1):
         trees += ordered_trees(labels, subs[:g_count(m, height - 1)], height)
-    return Forest(trees)
+    return tuple(trees)
 
 
 def minimal_stage(t):

@@ -6,7 +6,7 @@ order, distinct primes, no inverted label below the root.  It sorts only
 input that is out of order, and rejects any labeling a valid tree cannot
 carry, so structural equality is semantic equality.
 A tree hashes its branches when something first hashes it (a set, a
-Forest, ==), if every subtree already had its hash when it was built;
+dict, ==), if every subtree already had its hash when it was built;
 otherwise it hashes at once.  So a first hash reads one level of branches
 and never walks, and listed trees that nothing hashes cost no hash.
 A Label carries its prime itself, so building, printing and evaluating a
@@ -223,6 +223,19 @@ def _cmp(a, b, same=None):
             if walked:
                 same.add(walked.pop())
     return 0
+
+
+def same_trees(xs, ys):
+    """True when the sequences xs and ys hold equal trees pair by pair (a
+    non-Tree member: False).  One _cmp memo serves every pair, so listings
+    built apart, each sharing its subtrees, compare in linear time: two
+    g_forest(1, h) in O(h), where tuple == takes O(h^2)."""
+    if len(xs) != len(ys):
+        return False
+    same = set()
+    return all(isinstance(a, Tree) and isinstance(b, Tree)
+               and hash(a) == hash(b) and _cmp(a, b, same) == 0
+               for a, b in zip(xs, ys))
 
 
 def validate(raw):

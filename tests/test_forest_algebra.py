@@ -16,7 +16,8 @@ from primeforest.forest_algebra import (
 from primeforest.generator import g_forest, g_trees
 from primeforest.primes import first_primes
 from primeforest.tree_core import (
-    SINGLETON, Label, Tree, _cmp, label_tree, to_sexpr, validate)
+    SINGLETON, Label, Tree, _cmp, label_tree, same_trees, to_sexpr,
+    validate)
 
 
 def test_forest_dedupes_and_orders():
@@ -103,15 +104,18 @@ def test_raise_not_commutative():
 
 
 def test_forests_built_apart_differ_at_the_bottom():
-    # == walks each pair of shared subtrees once, and a difference at the
-    # bottom of the tallest tree still shows, in the walk as in the hashes
+    # same_trees walks each pair of shared subtrees once, and a difference
+    # at the bottom of the last, tallest tree still shows, in the walk as
+    # in the hashes; tuple's == and != agree
     tall, apart = g_forest(1, 300), g_forest(1, 300)
     chain = Tree(((Label(3), SINGLETON),))
     for _ in range(299):
         chain = Tree(((Label(2), chain),))
     other = Forest(list(tall)[:-1] + [chain])
     assert len(other) == len(tall) and other != tall
-    assert Forest(list(other)[:-1] + [list(tall)[-1]]) == apart
+    assert not same_trees(other, apart) and not same_trees(apart, other)
+    restored = Forest(list(other)[:-1] + [list(tall)[-1]])
+    assert restored == apart and same_trees(restored, apart)
     same = set()
     assert _cmp(tall[-1], apart[-1], same) == 0
     assert _cmp(chain, apart[-1], same) == 1

@@ -19,7 +19,7 @@ from primeforest.primes import prime_by_index, primes_upto
 from primeforest.rationals import h_count, h_forest, rational_stream
 from primeforest.sieve import eratosthenes
 from primeforest.tree_core import (SINGLETON, Label, label_tree, parse_sexpr,
-                                   validate)
+                                   same_trees, validate)
 
 
 def test_g_count_values():
@@ -151,9 +151,10 @@ def test_g_forest_counts_match():
 def test_g_forest_matches_bruteforce():
     for n, h in [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2),
                  (3, 1), (3, 2)]:
-        # the brute force builds in product order, so this checks Forest's
-        # sort of unsorted input against the enumerator's canonical order
-        assert g_forest(n, h) == all_valid_trees_bruteforce(n, h)
+        # the brute force builds in product order and sorts its own
+        # listing, so this checks that sort against ordered_trees' order
+        brute = all_valid_trees_bruteforce(n, h)
+        assert type(brute) is tuple and g_forest(n, h) == brute
 
 
 def _graft_raise_recurrence(n, h):
@@ -181,7 +182,7 @@ def test_bruteforce_single_label():
 
 def test_bruteforce_past_the_recursion_limit():
     # built level by level, so height is bounded by the budget alone
-    assert all_valid_trees_bruteforce(1, 1200) == g_forest(1, 1200)
+    assert same_trees(all_valid_trees_bruteforce(1, 1200), g_forest(1, 1200))
     assert list(all_valid_trees_bruteforce(0, 2000)) == [SINGLETON]
 
 

@@ -103,7 +103,9 @@ def _graft_raise_h(i, m):
 @pytest.mark.parametrize("i, m", [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2),
                                   (2, 1), (2, 2), (1, 3), (0, 5), (3, 1)])
 def test_h_forest_matches_the_graft_raise_construction(i, m):
-    assert h_forest(i, m) == _graft_raise_h(i, m)
+    forest = h_forest(i, m)
+    # listed in canonical order by ordered_trees: a plain tuple, no re-sort
+    assert type(forest) is tuple and forest == _graft_raise_h(i, m)
 
 
 def test_integer_slice_consistency():
@@ -121,7 +123,8 @@ def _member_predicate(t, i, m):
 def test_membership_predicate_matches_materialized():
     probe = list(h_forest(2, 2)) + list(h_forest(1, 3))
     for i, m in [(0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (1, 3), (2, 2)]:
-        forest = h_forest(i, m)
+        # a listing's own `in` is tuple's linear scan: a set answers each
+        forest = set(h_forest(i, m))
         for t in probe:
             assert (t in forest) == _member_predicate(t, i, m)
 

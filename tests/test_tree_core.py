@@ -1,5 +1,6 @@
 import itertools
 import re
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from primeforest.tree_core import (
     graft,
     label_tree,
     parse_sexpr,
+    same_trees,
     singleton,
     to_sexpr,
     validate,
@@ -183,10 +185,11 @@ def test_order_matches_reference_key(rng):
                 ka < kb, ka <= kb, ka > kb, ka >= kb, ka == kb)
 
 
+_G32 = g_forest(3, 2)
 _DRAWN_TREES = st.one_of(
     st.builds(encode_rational, st.integers(1, 10 ** 6),
               st.integers(1, 10 ** 6)),
-    st.sampled_from(g_forest(3, 2)))
+    st.sampled_from(_G32))
 
 
 @settings(max_examples=200, deadline=None)
@@ -321,10 +324,39 @@ def test_an_inverse_behind_a_plain_label_below_the_root_is_refused():
 
 def test_tall_generated_forests_compare_equal():
     a, b = g_forest(1, 2000), g_forest(1, 2000)
-    assert a == b and not (a != b)
-    # a forest is the tuple of its trees, compared through the same memo
-    assert a == tuple(b)
+    # built apart: one memo across the pairs walks each pair of chains
+    # once, in milliseconds; tuple == walks every pair apart, in seconds
+    start = time.perf_counter()
+    assert same_trees(a, b)
+    assert time.perf_counter() - start < 1
+    assert same_trees(a, tuple(b)) and same_trees(list(a), b)
+    # a forest is a tuple of its trees, with tuple's == and hash
+    assert a[:100] == b[:100] and not (a[:100] != b[:100])
     assert hash(a) == hash(tuple(a))
+    # lengths that differ, empty listings, and members that are not trees
+    assert not same_trees(a, b[:-1]) and not same_trees(a[:-1], b)
+    assert same_trees((), []) and not same_trees((), b[:1])
+    for other in (1, "(r)", None, [1], to_sexpr(b[5])):
+        assert not same_trees(a[:5] + (other,), b[:6])
+        assert not same_trees(a[:6], b[:5] + (other,))
+        assert not same_trees([other], [other])
+
+
+_LISTINGS = st.one_of(
+    st.builds(lambda start, n: _G32[start:start + n],
+              st.integers(0, 729), st.integers(0, 12)),
+    st.lists(st.builds(encode_rational, st.integers(1, 30),
+                       st.integers(1, 30)), max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_LISTINGS, st.integers(0, 8), _LISTINGS)
+def test_same_trees_is_tuple_equality(xs, kept, tail):
+    # ys rebuilds a prefix of xs apart, so no walk stops at a shared
+    # subtree, and ends in a drawn tail: equal, or not, anywhere
+    ys = [parse_sexpr(to_sexpr(t)) for t in xs[:kept]] + list(tail)
+    assert same_trees(xs, ys) == (tuple(xs) == tuple(ys))
+    assert same_trees(ys, xs) == same_trees(xs, ys)
 
 
 def _forget_printed_text(trees):
