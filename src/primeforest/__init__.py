@@ -55,7 +55,6 @@ from .tree_core import (
     label_tree,
     parse_sexpr,
     to_sexpr,
-    validate,
 )
 
 __version__ = "0.1.0"

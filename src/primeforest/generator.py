@@ -30,15 +30,15 @@ def g_count(n, h, cap=None):
     S_0 = 1, S_i = (1 + S_{i-1})^n; exact big-integer arithmetic.  Given a
     cap, a count above it raises SizeOverBudget, and each step's bit
     length is bounded before its power is taken, so no count far above
-    the cap is ever built.  For n <= 1, S_h = (1 + h)^n, so no step is
-    taken.  A negative or non-integer n, h or cap raises DomainError.
+    the cap is ever built.  For n <= 1 or h = 0, S_h = (1 + h)^n, so no
+    step is taken.  A negative or non-integer n, h or cap raises DomainError.
     """
     n, h, cap = _integers(n, h, cap)
     what = f"g_count({n}, {h})"
     for name, value in (("n", n), ("h", h)):
         if value < 0:
             raise DomainError(f"{what}: {name} must be >= 0")
-    if n <= 1 and h:
+    if n <= 1 or not h:
         return _capped_power(1 + h, n, cap, what)
     s = 1
     for _ in range(h):
@@ -57,7 +57,7 @@ def _capped_power(base, n, cap, what):
     is refused before it is built."""
     if cap is None:
         return base ** n
-    if n > _max_exponent(cap, base):
+    if base > 1 and n > _max_exponent(cap, base):
         raise SizeOverBudget(f"{what} exceeds the cap {_approx(cap)}",
                              cap=cap)
     s = base ** n

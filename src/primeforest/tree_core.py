@@ -3,8 +3,8 @@
 A tree is a tuple of (Label, subtree) branches hanging from an implicit,
 unlabeled root.  Construction checks the branches in one loop: canonical
 order, distinct primes, no inverted label below the root.  It sorts only
-input that is out of order, and rejects any labeling a valid tree cannot
-carry, so structural equality is semantic equality.
+input that is out of order.  A Label is unchecked: parse_sexpr is the
+checked way in.  Over prime labels, structural equality is semantic.
 A tree hashes its branches when something first hashes it (a set, a
 dict, ==), if every subtree already had its hash when it was built;
 otherwise it hashes at once.  So a first hash reads one level of branches
@@ -15,9 +15,9 @@ k-th prime", does.  Labels of the primes below 2^10 come from a fixed
 table, read from primes.SMALL_PRIMES at import.
 
 Every walk here is iterative, and only codec._value recurses, so
-MAX_DEPTH guards parse and validate input only.  Enumerated trees share
-subtrees, so to_sexpr keeps the text of each root branch's subtree on it,
-walked once; deeper subtrees keep none.
+MAX_DEPTH guards parse_sexpr input only: parse_sexpr is the checked way
+in.  Enumerated trees share subtrees, so to_sexpr keeps the text of each
+root branch's subtree on it, walked once; deeper subtrees keep none.
 """
 
 import functools
@@ -35,7 +35,7 @@ class Label(NamedTuple):
     """Vertex decoration: a prime, possibly inverted.
 
     Inverted labels (p^-1) are only legal on children of the root.  The
-    record is unchecked; validate and parse_sexpr are the checked ways in.
+    record is unchecked, even by Tree: parse_sexpr is the checked way in.
     """
 
     prime: int
@@ -56,12 +56,14 @@ class Label(NamedTuple):
 class Tree:
     """Immutable rooted tree with canonically ordered, distinct-labeled branches.
 
-    The constructor checks every branch in one loop and sorts only
-    out-of-order input, which then goes through the loop once more, so the
-    first fault in canonical order is the one raised.  The hash waits in
-    _hash (None) until its first use when every subtree already has its
-    own; otherwise the constructor hashes at once, so a tree with its hash
-    deferred never has a subtree whose hash is deferred too.
+    The constructor checks order, distinct primes and inverse placement,
+    not the labels: Tree([(Label(4), SINGLETON)]) is built.  It checks
+    every branch in one loop and sorts only out-of-order input, which then
+    goes through the loop once more, so the first fault in canonical order
+    is the one raised.  The hash waits in _hash (None) until its first use
+    when every subtree already has its own; otherwise the constructor
+    hashes at once, so a tree with its hash deferred never has a subtree
+    whose hash is deferred too.
     """
 
     # _text is unset until to_sexpr keeps the tree's printed branches there
@@ -238,59 +240,19 @@ def same_trees(xs, ys):
                for a, b in zip(xs, ys))
 
 
-def validate(raw):
-    """Build a canonical Tree from nested raw data.
-
-    Raw form: an iterable of branches, each branch a (label, sub_branches)
-    pair where label is a prime (an int) or its text form, "<prime>" or
-    "1/<prime>".  Nesting deeper than MAX_DEPTH is refused.
-    """
-    stack = [[None, _children(raw)]]  # per open level: label, items, branches
-    while True:
-        for item in stack[-1][1]:
-            try:
-                label_spec, sub = item
-            except (TypeError, ValueError):
-                raise ParseError(
-                    f"branch must be a (label, children) pair: {item!r}")
-            if len(stack) > MAX_DEPTH:
-                raise ParseError(
-                    f"tree nested too deeply (over {MAX_DEPTH} levels)")
-            stack.append([_parse_label(label_spec), _children(sub)])
-            break
-        else:
-            label, _, *branches = stack.pop()
-            if not stack:
-                return Tree(branches)
-            stack[-1].append((label, Tree(branches)))
-
-
-def _children(raw):
+def _parse_label(text):
+    inverted = text.startswith("1/")
+    digits = text[2:] if inverted else text
+    # the grammar's decimal: ASCII digits, no sign, "_" or leading zero,
+    # and short enough for int()
+    if not (digits.isascii() and digits.isdigit()) or digits.startswith("0"):
+        raise ParseError(f"bad label {text!r}")
     try:
-        return iter(raw)
-    except TypeError:
-        raise ParseError(f"children must be an iterable of branches: {raw!r}")
-
-
-def _parse_label(spec):
-    inverted = False
-    if isinstance(spec, str):
-        inverted = spec.startswith("1/")
-        text = spec[2:] if inverted else spec
-        # the grammar's decimal: ASCII digits, no sign, "_" or leading
-        # zero, and short enough for int()
-        if not (text.isascii() and text.isdigit()) or text.startswith("0"):
-            raise ParseError(f"bad label {spec!r}")
-        try:
-            value = int(text)
-        except ValueError:
-            raise ParseError(f"bad label {spec!r}")
-    elif isinstance(spec, int) and not isinstance(spec, bool):
-        value = int(spec)
-    else:
-        raise ParseError(f"bad label {spec!r}")
+        value = int(digits)
+    except ValueError:
+        raise ParseError(f"bad label {text!r}")
     if not is_prime(value):
-        raise ParseError(f"label {spec!r} is not a prime")
+        raise ParseError(f"label {text!r} is not a prime")
     return Label(value, inverted)
 
 

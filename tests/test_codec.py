@@ -29,7 +29,6 @@ from primeforest.tree_core import (
     label_tree,
     parse_sexpr,
     to_sexpr,
-    validate,
 )
 
 from conftest import random_tree
@@ -44,13 +43,13 @@ def test_eval_known_values():
 
 
 def test_eval_fig2_tower():
-    t = validate([(5, []), (2, [(3, []), (7, [(2, [])])])])
+    t = parse_sexpr("(r (2 (3) (7 (2))) (5))")
     assert eval_integer_tree(t) == 5 * 2 ** (3 * 7 ** 2)
 
 
 def test_eval_rejects_inverted():
     with pytest.raises(InverseLabelPresent):
-        eval_integer_tree(validate([("1/2", [])]))
+        eval_integer_tree(parse_sexpr("(r (1/2))"))
     for evaluate in (eval_integer_tree, lambda t: eval_bounded(t, 10)):
         with pytest.raises(InverseLabelPresent):
             evaluate(encode_rational(1, 2))

@@ -16,8 +16,8 @@ from primeforest.forest_algebra import (
 from primeforest.generator import g_forest, g_trees
 from primeforest.primes import first_primes
 from primeforest.tree_core import (
-    SINGLETON, Label, Tree, _cmp, label_tree, same_trees, to_sexpr,
-    validate)
+    SINGLETON, Label, Tree, _cmp, label_tree, parse_sexpr, same_trees,
+    to_sexpr)
 
 
 def test_forest_dedupes_and_orders():
@@ -37,7 +37,7 @@ def test_graft_forests_pairwise():
     result = graft_forests(f, g)
     assert len(result) == 4
     expected = {SINGLETON, label_tree(0), label_tree(1),
-                validate([(2, []), (3, [])])}
+                parse_sexpr("(r (2) (3))")}
     assert set(result) == expected
 
 
@@ -61,8 +61,8 @@ def test_graft_forests_collision():
 def test_raise_forest_attaches_at_every_leaf():
     # raising {r->3->(5,7), r->(5,7)} by the two-vertex tree labeled 2
     t2 = label_tree(0)
-    f = Forest([validate([(3, [(5, []), (7, [])])]),
-                validate([(5, []), (7, [])])])
+    f = Forest([parse_sexpr("(r (3 (5) (7)))"),
+                parse_sexpr("(r (5) (7))")])
     raised = raise_forest(t2, f)
     assert {to_sexpr(t) for t in raised} == {
         "(r (2 (3 (5) (7))))",
@@ -71,7 +71,7 @@ def test_raise_forest_attaches_at_every_leaf():
 
 
 def test_raise_forest_multi_leaf_duplicates_subtree():
-    t = validate([(2, []), (3, [])])
+    t = parse_sexpr("(r (2) (3))")
     raised = raise_forest(t, Forest([label_tree(2)]))
     assert {to_sexpr(x) for x in raised} == {"(r (2 (5)) (3 (5)))"}
 
@@ -94,7 +94,7 @@ def test_raising_a_tall_tree_needs_no_recursion():
 
 
 def test_raise_preserves_size():
-    f = Forest([SINGLETON, label_tree(1), validate([(2, []), (5, [])])])
+    f = Forest([SINGLETON, label_tree(1), parse_sexpr("(r (2) (5))")])
     assert len(raise_forest(label_tree(0), f)) == len(f)
 
 

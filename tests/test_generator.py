@@ -19,7 +19,7 @@ from primeforest.primes import prime_by_index, primes_upto
 from primeforest.rationals import h_count, h_forest, rational_stream
 from primeforest.sieve import eratosthenes
 from primeforest.tree_core import (SINGLETON, Label, label_tree, parse_sexpr,
-                                   same_trees, validate)
+                                   same_trees)
 
 
 def test_g_count_values():
@@ -125,7 +125,7 @@ def test_listing_work_budget():
 def test_g_forest_small():
     f = g_forest(2, 1)
     assert set(f) == {SINGLETON, label_tree(0), label_tree(1),
-                      validate([(2, []), (3, [])])}
+                      parse_sexpr("(r (2) (3))")}
 
 
 def test_g_forest_height_zero():
@@ -207,6 +207,11 @@ def test_size_cap():
     # the 83,521 trees below height 3 are under the cap
     with pytest.raises(SizeOverBudget):
         g_trees(4, 3)
+    # S_0 = 1 is held to the cap as every other count is
+    for n in (0, 1, 3):
+        with pytest.raises(SizeOverBudget) as info:
+            g_count(n, 0, cap=0)
+        assert (info.value.requested, info.value.cap) == (1, 0)
 
 
 @pytest.mark.parametrize("n, h", [(0, 0), (0, 3), (3, 0), (1, 4), (2, 2),

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from primeforest import tree_core
 from primeforest.codec import encode_integer, encode_rational
-from primeforest.errors import MisplacedInverse, ParseError, SiblingCollision
+from primeforest.errors import (DomainError, MisplacedInverse, ParseError,
+                                SiblingCollision)
 from primeforest.generator import g_count, g_forest, g_trees
+from primeforest.primes import is_prime
 from primeforest.rationals import rational_tree_stream
 from primeforest.tree_core import (
     MAX_DEPTH,
@@ -24,13 +26,12 @@ from primeforest.tree_core import (
     same_trees,
     singleton,
     to_sexpr,
-    validate,
 )
 
 from conftest import random_tree
 
 # root -> {5, 2 -> {3, 7 -> 2}}, the running valid-labeling example
-FIG2_RAW = [(5, []), (2, [(3, []), (7, [(2, [])])])]
+FIG2 = "(r (2 (3) (7 (2))) (5))"
 
 
 def test_singleton_is_branchless_identity():
@@ -49,8 +50,8 @@ def test_label_tree_basic():
 
 
 def test_graft_merges_branch_sets():
-    left = validate([(2, []), (3, [])])
-    right = validate([(5, [(7, []), (11, [])])])
+    left = parse_sexpr("(r (2) (3))")
+    right = parse_sexpr("(r (5 (7) (11)))")
     merged = graft(left, right)
     assert to_sexpr(merged) == "(r (2) (3) (5 (7) (11)))"
 
@@ -68,69 +69,54 @@ def test_graft_collision():
         graft(label_tree(0), label_tree(0))
 
 
-def test_validate_fig2_ok():
-    t = validate(FIG2_RAW)
+def test_parse_fig2_ok():
+    t = parse_sexpr(FIG2)
     assert t.height == 3
     assert t.leaf_count() == 3
 
 
-def test_validate_rejects_equal_siblings():
+def test_parse_rejects_equal_siblings():
     # root -> {2, 3 -> {5, 5 -> 7}}: two siblings labeled 5
-    raw = [(2, []), (3, [(5, []), (5, [(7, [])])])]
     with pytest.raises(SiblingCollision):
-        validate(raw)
+        parse_sexpr("(r (2) (3 (5) (5 (7))))")
 
 
-def test_validate_rejects_non_prime_labels():
-    for label in (4, 1, 0, -3, 2.0, True, None, "2.0", "1/4"):
+def test_parse_rejects_non_prime_labels():
+    for label in ("4", "1", "0", "2.0", "1/4"):
         with pytest.raises(ParseError):
-            validate([(label, [])])
-    # text labels follow the S-expression grammar
-    for label in ("2_3", "+2", "02", "1/02", " 2", "\u0663"):
+            parse_sexpr(f"(r ({label}))")
+    # labels follow the S-expression grammar
+    for label in ("2_3", "+2", "02", "1/02", "\u0663"):
         with pytest.raises(ParseError, match="bad label"):
-            validate([(label, [])])
+            parse_sexpr(f"(r ({label}))")
     # labels are checked by Miller-Rabin, with no prime table lookup
-    assert to_sexpr(validate([(10 ** 12 + 39, [(2, [])])])) \
-        == "(r (1000000000039 (2)))"
+    text = f"(r ({10 ** 12 + 39} (2)))"
+    assert to_sexpr(parse_sexpr(text)) == text == "(r (1000000000039 (2)))"
 
 
-def test_validate_rejects_deep_inverse():
-    raw = [(3, [("1/2", [])])]
+def test_parse_rejects_deep_inverse():
     with pytest.raises(MisplacedInverse):
-        validate(raw)
+        parse_sexpr("(r (3 (1/2)))")
 
 
-def test_validate_rejects_plain_and_inverted_same_prime():
+def test_parse_rejects_plain_and_inverted_same_prime():
     with pytest.raises(SiblingCollision):
-        validate([(2, []), ("1/2", [])])
+        parse_sexpr("(r (2) (1/2))")
 
 
 def test_inverted_allowed_at_depth_one():
-    t = validate([("1/2", [(3, [])])])
+    t = parse_sexpr("(r (1/2 (3)))")
     assert t.has_inverted
     # canonical order puts the inverted branch last, whatever the input order
     for text, inverted in (("(r (3) (1/2))", True), ("(r (1/2))", True),
                            ("(r (2) (3))", False), ("(r)", False)):
         assert parse_sexpr(text).has_inverted is inverted, text
-    assert validate([("1/2", []), (3, [])]).has_inverted
+    assert parse_sexpr("(r (1/2) (3))").has_inverted
 
 
-def test_validate_refuses_children_that_are_not_branches():
-    for raw in ([(2, 5)], [(2, [(3, None)])], 5):
-        with pytest.raises(ParseError, match="iterable of branches"):
-            validate(raw)
-    for raw in ([5], [(2,)]):
-        with pytest.raises(ParseError,
-                           match=r"branch must be a \(label, children\) pair"):
-            validate(raw)
-
-
-def test_validate_refuses_deep_nesting():
-    raw = []
-    for _ in range(3000):
-        raw = [(2, raw)]
+def test_parse_refuses_deep_nesting():
     with pytest.raises(ParseError, match="nested too deeply"):
-        validate(raw)
+        parse_sexpr("(r" + " (2" * 3000 + ")" * 3001)
 
 
 def _order_sign(a, b):
@@ -239,8 +225,8 @@ def test_parse_rejects_garbage():
 
 
 def test_parse_tokens_split_on_any_whitespace():
-    assert parse_sexpr("\t(r\n(2\u3000(3))\x1c(5) )") == validate(
-        [(2, [(3, [])]), (5, [])])
+    assert parse_sexpr("\t(r\n(2\u3000(3))\x1c(5) )") == Tree(
+        ((Label(2), label_tree(1)), (Label(5), SINGLETON)))
 
 
 def test_leaves_share_the_singleton():
@@ -270,28 +256,18 @@ def _chain(depth):
     return t
 
 
-def _raw_chain(depth):
-    raw = []
-    for _ in range(depth):
-        raw = [(2, raw)]
-    return raw
-
-
 def test_a_chain_at_the_depth_budget_prints_and_round_trips():
     t = _chain(MAX_DEPTH)
     text = to_sexpr(t)
     assert text == "(r" + " (2" * MAX_DEPTH + ")" * (MAX_DEPTH + 1)
     assert repr(t) == f"Tree({text!r})"
     assert parse_sexpr(text) == t
-    assert validate(_raw_chain(MAX_DEPTH)) == t
     assert (t.height, t.leaf_count(), t.max_prime()) == (MAX_DEPTH, 1, 2)
 
 
 def test_one_level_past_the_depth_budget_is_refused():
     with pytest.raises(ParseError, match="nested too deeply"):
         parse_sexpr(to_sexpr(_chain(MAX_DEPTH + 1)))
-    with pytest.raises(ParseError, match="nested too deeply"):
-        validate(_raw_chain(MAX_DEPTH + 1))
 
 
 def test_printing_a_tall_tree_needs_no_recursion():
@@ -319,7 +295,7 @@ def test_an_inverse_behind_a_plain_label_below_the_root_is_refused():
     with pytest.raises(MisplacedInverse, match="below vertex 2$"):
         Tree(((Label(2), mixed),))
     with pytest.raises(MisplacedInverse, match="below vertex 3$"):
-        validate([(3, [(7, []), ("1/5", [])])])
+        parse_sexpr("(r (3 (7) (1/5)))")
 
 
 def test_tall_generated_forests_compare_equal():
@@ -369,7 +345,7 @@ def _forget_printed_text(trees):
 
 def test_to_sexpr_prints_alike_with_its_memo_empty_and_filled(rng):
     big = (1031, 1033, 1039, 1049)      # primes past the table's 2^10
-    inner = validate([(big[1], [(2, [])]), (3, [(big[0], [])])])
+    inner = parse_sexpr(f"(r ({big[1]} (2)) (3 ({big[0]})))")
     chain_text = "(r" + " (2" * 5000 + ")" * 5001
     cases = [
         list(g_forest(4, 2)),
@@ -377,9 +353,9 @@ def test_to_sexpr_prints_alike_with_its_memo_empty_and_filled(rng):
         [_chain(5000), SINGLETON, _chain(5000)],
         [encode_rational(rng.randint(1, 3000), rng.randint(1, 3000))
          for _ in range(300)]
-        + [validate([(big[0], [(big[1], [])]), (f"1/{big[2]}", [])]),
-           validate([(big[3], [(2, [(big[0], [])])])]),
-           validate([(f"1/{big[3]}", [])]), validate([(big[3], [])])],
+        + [parse_sexpr(f"(r ({big[0]} ({big[1]})) (1/{big[2]}))"),
+           parse_sexpr(f"(r ({big[3]} (2 ({big[0]}))))"),
+           parse_sexpr(f"(r (1/{big[3]}))"), parse_sexpr(f"(r ({big[3]}))")],
         # a subtree printed first inside a larger tree, then on its own,
         # then deeper down, then again under a root with an inverted label
         [Tree(((Label(5), inner), (Label(big[2], True), SINGLETON))), inner,
@@ -474,8 +450,8 @@ def test_printing_shared_subtrees_in_any_order_matches_the_reference(trees):
         assert to_sexpr(t) == _reference_sexpr(t)
 
 
-def _raw(t):
-    return [(label.text, _raw(sub)) for label, sub in t.branches]
+def _rebuilt(t):
+    return Tree([(label, _rebuilt(sub)) for label, sub in t.branches])
 
 
 @settings(max_examples=200, deadline=None)
@@ -486,7 +462,8 @@ def test_hashing_shared_subtrees_in_any_order_matches_a_rebuild(trees, data):
     hashed = data.draw(st.lists(st.booleans(), min_size=len(trees),
                                 max_size=len(trees)))
     first = [hash(t) for t, h in zip(trees, hashed) if h]
-    rebuilt = [validate(_raw(t)) for t in trees]
+    # rebuilt apart, down to fresh leaves that are not SINGLETON
+    rebuilt = [_rebuilt(t) for t in trees]
     assert first == [hash(r) for r, h in zip(rebuilt, hashed) if h]
     assert [hash(t) for t in trees] == [hash(r) for r in rebuilt]
     assert trees == rebuilt
@@ -547,6 +524,48 @@ def test_printing_keeps_text_in_proportion_to_the_print():
 def test_parse_errors_name_the_fault(text, message):
     with pytest.raises(ParseError, match=message):
         parse_sexpr(text)
+
+
+# labels of tree text: primes above and below the label table's 2^10,
+# plain and inverted, then texts that are not prime labels ("2047" is a
+# strong pseudoprime to base 2)
+_PRIME_PIECES = ("2", "3", "7", "1/2", "1/3", "1031", "1/1033", "65537")
+_LABEL_PIECES = _PRIME_PIECES + ("4", "1/1", "0", "1/", "2047")
+_BRANCH_PIECES = st.recursive(
+    st.just([]),
+    lambda sub: st.lists(
+        st.builds(lambda label, below: ["(", label, *below, ")"],
+                  # mostly primes, so that a tree with a few labels parses
+                  st.sampled_from(_PRIME_PIECES)
+                  | st.sampled_from(_LABEL_PIECES), sub),
+        max_size=3).map(lambda branches: sum(branches, [])),
+    max_leaves=8)
+
+
+@st.composite
+def _tree_texts(draw):
+    """Tree text joined from pieces, well formed but for its labels, with
+    up to three pieces put in or taken out after its "(r "."""
+    pieces = ["(", "r", " ", *draw(_BRANCH_PIECES), ")"]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(3, len(pieces)))
+        if draw(st.booleans()):
+            pieces.insert(at, draw(st.sampled_from(
+                ("(", ")", "r", " ") + _LABEL_PIECES)))
+        else:
+            del pieces[at:at + 1]
+    return "".join(pieces)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tree_texts())
+def test_parse_reads_a_tree_or_raises_a_domain_error(text):
+    try:
+        t = parse_sexpr(text)
+    except DomainError:
+        return
+    assert parse_sexpr(to_sexpr(t)) == t
+    assert all(is_prime(label.prime) for label, _ in t._walk())
 
 
 def test_parse_checks_each_label_text_once(monkeypatch):
