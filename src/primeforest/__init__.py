@@ -5,10 +5,8 @@ of Q+.
 """
 
 from .codec import (
-    OVER_BOUND,
     encode_integer,
     encode_rational,
-    eval_bounded,
     eval_integer_tree,
     eval_rational_tree,
     factor,

@@ -2,8 +2,8 @@
 
 Evaluation maps sibling branches to multiplication and a child subtree to
 its parent prime's exponent, leaves first (exponentiation does not
-associate).  All three evaluators run one walk, _value, over a tuple of
-branches, exact or under a bound.  Inverted labels sit at the root only
+associate).  Both evaluators run one walk, _value, over a tuple of
+branches, exact or under a cap.  Inverted labels sit at the root only
 and last in it (Tree keeps them there), so eval_rational_tree splits the
 root at its first inverted branch and walks the numerator's branches and
 the denominator's apart.  Encoding inverts this by factoring; factor(1),
@@ -22,19 +22,14 @@ from .primes import SMALL_PRIMES, is_prime
 from .tree_core import SINGLETON, Label, Tree
 
 
-class _OverBound:
-    def __repr__(self):
-        return "OVER_BOUND"
-
-
-# Marker: a bounded evaluation exceeded its bound.  Test it with `is`.
-OVER_BOUND = _OverBound()
 SPLIT_STEPS = 1 << 20           # Pollard-Brent's budget for one split
 
 
 def eval_integer_tree(t):
     """Exact integer value of a tree without inverted labels."""
-    return eval_bounded(t, None)
+    if t.has_inverted:
+        raise InverseLabelPresent("tree carries inverted labels")
+    return _value(t.branches)
 
 
 def encode_integer(m):
@@ -69,7 +64,7 @@ def eval_rational_tree(t, cap=None):
         num, den = _value(branches[:split], cap), _value(branches[split:], cap)
     else:
         num, den = _value(branches, cap), 1
-    if num is OVER_BOUND or den is OVER_BOUND:
+    if num is None or den is None:
         raise SizeOverBudget(f"the value exceeds the cap {_approx(cap)}",
                              cap=cap)
     # reduced by construction: a prime never heads both a plain and an
@@ -101,32 +96,21 @@ def _max_exponent(bound, base):
     return (bound.bit_length() - 1) // (base.bit_length() - 1)
 
 
-def eval_bounded(t, bound):
-    """Exact value if <= bound (None: no bound), else OVER_BOUND.
-
-    Exponents are capped in logarithmic space before exponentiating, so
-    this terminates quickly even on tall exponent towers.
-    """
-    if t.has_inverted:
-        raise InverseLabelPresent("tree carries inverted labels")
-    return _value(t.branches, None if bound is None else as_integer(bound))
-
-
 def _value(branches, bound=None):
     """The product of p^e over branches p -> (tree of e), none inverted;
-    given a bound, OVER_BOUND once the product passes it."""
+    given a bound, None once the product passes it."""
     if bound is not None and bound < 1:
-        return OVER_BOUND
+        return None
     value = 1
     for label, sub in branches:
         p = label.prime
         e = _value(sub.branches,
                    None if bound is None else _max_exponent(bound, p))
-        if e is OVER_BOUND:
-            return OVER_BOUND
+        if e is None:
+            return None
         value *= p ** e
         if bound is not None and value > bound:
-            return OVER_BOUND
+            return None
     return value
 
 

@@ -17,14 +17,15 @@ encode_integer, only for composites_in_window (`sieve --show-composites`).
 The gap scan runs from q to 2q: both ends are marked (q = q^1, and the
 composite 2q), so it sees a prime at q + 1 or 2q - 1.
 
-Both sieves refuse q above a fixed cap (SizeOverBudget): the window
-costs 2q bytes, and the fixpoint form a tree per value per generation.
+Both sieves refuse q above a fixed cap (SizeOverBudget) before testing
+that q is prime: the window costs 2q bytes, the fixpoint form a tree per
+value per generation, and Miller-Rabin on a huge q is slow or undecided.
 """
 
 from bisect import bisect_right
 from math import isqrt
 
-from .codec import _max_exponent, encode_integer
+from .codec import _approx, _max_exponent, encode_integer
 from .errors import DomainError, NotPrime, SizeOverBudget, as_integer
 from .generator import _graft_generation, bounded_value_trees
 from .primes import is_prime, primes_upto
@@ -74,11 +75,11 @@ def combinatorial_sieve(q):
 
 
 def _check_q(q, cap):
+    if as_integer(q) > cap:
+        raise SizeOverBudget(f"q = {_approx(q)} exceeds the sieve cap {cap}",
+                             requested=q, cap=cap)
     if not is_prime(q):
         raise NotPrime(f"{q} is not prime")
-    if q > cap:
-        raise SizeOverBudget(f"q = {q} exceeds the sieve cap {cap}",
-                             requested=q, cap=cap)
 
 
 def _composite_flags(q):

@@ -7,13 +7,12 @@ import time
 from math import gcd
 
 from primeforest.codec import (
-    OVER_BOUND,
     encode_integer,
     encode_rational,
-    eval_bounded,
     eval_integer_tree,
     eval_rational_tree,
 )
+from primeforest.errors import SizeOverBudget
 from primeforest.forest_algebra import Forest, raise_forest
 from primeforest.generator import all_valid_trees_bruteforce, g_count, g_forest
 from primeforest.primes import prime_by_index
@@ -138,6 +137,15 @@ def _stage_bound(num, den):
     return max(1, max_index, root_sub)
 
 
+def _within(t, cap):
+    """Whether t's value fits the cap, by the capped walk."""
+    try:
+        eval_rational_tree(t, cap=cap)
+    except SizeOverBudget:
+        return False
+    return True
+
+
 def test_criterion_7_stream_totality():
     start = time.time()
     trees = list(itertools.islice(rational_tree_stream(), 10_000))
@@ -150,8 +158,7 @@ def test_criterion_7_stream_totality():
         assert not plain & inv
     # exact values, where the exponent towers stay materializable
     feasible = [t for t in trees
-                if all(eval_bounded(sub, 50_000) is not OVER_BOUND
-                       for _, sub in t.branches)]
+                if all(_within(sub, 50_000) for _, sub in t.branches)]
     values = [eval_rational_tree(t) for t in feasible]
     assert len(set(values)) == len(values)
     for v in values:
@@ -201,10 +208,10 @@ def test_criterion_9_bounded_evaluation():
     tower4 = SINGLETON
     for _ in range(4):
         tower4 = Tree(((Label(2), tower4),))
-    assert eval_bounded(tower4, 10 ** 6) == 65536
+    assert eval_rational_tree(tower4, cap=10 ** 6) == 65536
     tower5 = Tree(((Label(2), tower4),))
     start = time.time()
-    assert eval_bounded(tower5, 10 ** 6) is OVER_BOUND
+    assert not _within(tower5, 10 ** 6)
     elapsed = time.time() - start
     assert elapsed < 0.001
     report("criterion 9: bounded evaluation short-circuits towers")

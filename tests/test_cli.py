@@ -199,13 +199,15 @@ def test_sieve_show_composites_golden_hashes():
 def test_sieve_caps_refuse_large_q():
     above = next(k for k in itertools.count(sieve.FIDELITY_CAP + 1)
                  if is_prime(k))
+    # a prime past the Miller-Rabin bound is refused on the cap, untested
     for argv, cap in ((["sieve", "4000037"], "4000000"),
                       (["sieve", "4000037", "--show-composites"], "4000000"),
                       (["sieve", str(above), "--fidelity"],
-                       str(sieve.FIDELITY_CAP))):
+                       str(sieve.FIDELITY_CAP)),
+                      (["sieve", str(2 ** 1279 - 1)], "4000000")):
         code, out, err = run_cli(*argv, timeout=2)
         assert (code, out) == (1, "")
-        assert f"cap {cap}" in err and "Traceback" not in err
+        assert f"sieve cap {cap}" in err and "Traceback" not in err
 
 
 def test_sieve_not_prime_is_domain_error():

@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 
 from primeforest import codec
 from primeforest.codec import (
-    OVER_BOUND,
     encode_integer,
     encode_rational,
-    eval_bounded,
     eval_integer_tree,
     eval_rational_tree,
     factor,
@@ -50,9 +48,8 @@ def test_eval_fig2_tower():
 def test_eval_rejects_inverted():
     with pytest.raises(InverseLabelPresent):
         eval_integer_tree(parse_sexpr("(r (1/2))"))
-    for evaluate in (eval_integer_tree, lambda t: eval_bounded(t, 10)):
-        with pytest.raises(InverseLabelPresent):
-            evaluate(encode_rational(1, 2))
+    with pytest.raises(InverseLabelPresent):
+        eval_integer_tree(encode_rational(1, 2))
 
 
 def test_encode_known_values():
@@ -109,9 +106,10 @@ def test_eval_multiplicative(rng):
         b = random_tree(rng, range(1, 8, 2), 2)
         va, vb = eval_integer_tree(a), eval_integer_tree(b)
         assert eval_integer_tree(graft(a, b)) == va * vb
-        # the three evaluators agree
-        assert eval_bounded(a, va) == eval_rational_tree(a) == va
-        assert eval_bounded(a, va - 1) is OVER_BOUND
+        # the evaluators agree, and a cap of va - 1 refuses
+        assert eval_rational_tree(a, cap=va) == eval_rational_tree(a) == va
+        with pytest.raises(SizeOverBudget):
+            eval_rational_tree(a, cap=va - 1)
         # b's root labels inverted: the tree of va / vb
         r = Tree(a.branches + tuple((Label(label.prime, True), sub)
                                     for label, sub in b.branches))
@@ -144,43 +142,59 @@ def test_rational_roundtrip():
             assert encode_rational(v.numerator, v.denominator) == t
 
 
+def _refused(t, cap):
+    """eval_rational_tree(t, cap=cap) raises SizeOverBudget with that cap."""
+    with pytest.raises(SizeOverBudget) as info:
+        eval_rational_tree(t, cap=cap)
+    assert info.value.cap == cap
+
+
 def test_eval_bounded_agrees_below_bound():
     for m in range(1, 500):
-        assert eval_bounded(encode_integer(m), 1000) == m
-    # both sides of the bound, for values of one prime power and of towers
+        assert eval_rational_tree(encode_integer(m), cap=1000) == m
+    # both sides of the cap, for values of one prime power and of towers
     for m in list(range(1, 300)) + [512, 2 ** 16, 3 ** 8, 5 ** 27, 2 ** 81,
                                     6 ** 25, 10 ** 30]:
         t = encode_integer(m)
-        assert eval_bounded(t, m - 1) is OVER_BOUND
-        assert eval_bounded(t, m) == m
-        assert eval_bounded(t, m + 1) == m
+        _refused(t, m - 1)
         for cap in (m, m + 1):
-            assert eval_rational_tree(t, cap) == m
-        with pytest.raises(SizeOverBudget):
-            eval_rational_tree(t, m - 1)
+            assert eval_rational_tree(t, cap=cap) == m
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10 ** 6), st.integers(1, 10 ** 6),
+       st.integers(-2, 2) | st.integers(-10 ** 6, 10 ** 6))
+def test_a_cap_bounds_the_denominator_as_the_numerator(p, q, offset):
+    g = gcd(p, q)
+    p, q = p // g, q // g
+    cap = max(0, max(p, q) + offset)
+    t = encode_rational(p, q)
+    if max(p, q) <= cap:
+        assert eval_rational_tree(t, cap=cap) == Fraction(p, q)
+    else:
+        _refused(t, cap)
 
 
 def test_eval_bounded_overbound():
     t = parse_sexpr("(r (2 (3 (2))))")  # 512
-    assert eval_bounded(t, 500) is OVER_BOUND
-    assert eval_bounded(t, 512) == 512
-    assert eval_bounded(label_tree(0), 2) == 2
-    assert eval_bounded(SINGLETON, 1) == 1
+    _refused(t, 500)
+    assert eval_rational_tree(t, cap=512) == 512
+    assert eval_rational_tree(label_tree(0), cap=2) == 2
+    assert eval_rational_tree(SINGLETON, cap=1) == 1
 
 
 def test_eval_bounded_short_circuits_towers():
     tower = SINGLETON
     for _ in range(50):  # 2^2^...^2, fifty levels
         tower = Tree(((Label(2), tower),))
-    assert eval_bounded(tower, 10 ** 9) is OVER_BOUND
-    # 5,000 levels, deeper than the recursion limit: a bounded walk gives
+    _refused(tower, 10 ** 9)
+    # 5,000 levels, deeper than the recursion limit: a capped walk gives
     # up within a few levels of the root
     for _ in range(4950):
         tower = Tree(((Label(2), tower),))
     assert tower.height == 5000
-    assert eval_bounded(tower, 10 ** 9) is OVER_BOUND
-    with pytest.raises(SizeOverBudget):
-        eval_rational_tree(tower, cap=10 ** 4300)
+    _refused(tower, 10 ** 9)
+    _refused(tower, 10 ** 4300)
 
 
 @settings(max_examples=300, deadline=None)

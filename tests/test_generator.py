@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from primeforest.codec import (encode_integer, encode_rational, eval_bounded,
+from primeforest.codec import (encode_integer, encode_rational,
                               eval_integer_tree, eval_rational_tree)
 from primeforest.errors import DomainError, SizeOverBudget
 from primeforest.forest_algebra import Forest, graft_forests, raise_forest
@@ -17,7 +17,7 @@ from primeforest.generator import (
 )
 from primeforest.primes import prime_by_index, primes_upto
 from primeforest.rationals import h_count, h_forest, rational_stream
-from primeforest.sieve import eratosthenes
+from primeforest.sieve import combinatorial_sieve, eratosthenes
 from primeforest.tree_core import (SINGLETON, Label, label_tree, parse_sexpr,
                                    same_trees)
 
@@ -75,7 +75,6 @@ _THREE_FOURTHS = encode_rational(3, 4)
     lambda: h_forest("1", 1),
     lambda: next(rational_stream(cap=0.5)),
     lambda: eval_rational_tree(_THREE_FOURTHS, 0.5),
-    lambda: eval_bounded(SINGLETON, 0.5),
     lambda: parse_sexpr(None),
     lambda: parse_sexpr(b"(r)"),
     lambda: bounded_value_trees(range(3), 10.5),
@@ -83,13 +82,14 @@ _THREE_FOURTHS = encode_rational(3, 4)
     lambda: eratosthenes(10.5),
     lambda: eratosthenes("10"),
     lambda: eratosthenes(None),
+    lambda: combinatorial_sieve("10"),
 ], ids=["g_count-float", "g_count-str", "g_count-cap", "h_count-float",
         "h_count-cap", "g_forest", "g_trees", "bruteforce", "h_forest-m",
         "h_forest-i", "h_forest-str", "rational_stream-cap",
-        "eval_rational_tree-cap", "eval_bounded-bound", "parse-None",
-        "parse-bytes", "bounded_value_trees-float",
-        "bounded_value_trees-str", "eratosthenes-float", "eratosthenes-str",
-        "eratosthenes-None"])
+        "eval_rational_tree-cap", "parse-None", "parse-bytes",
+        "bounded_value_trees-float", "bounded_value_trees-str",
+        "eratosthenes-float", "eratosthenes-str", "eratosthenes-None",
+        "combinatorial_sieve-str"])
 def test_non_integer_sizes_and_caps_are_refused(call):
     with pytest.raises(DomainError, match="not an integer|must be a str"):
         call()

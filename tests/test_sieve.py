@@ -66,14 +66,18 @@ def _prime_above(n):
 
 
 def test_sieve_caps():
-    for fn, q, cap in ((combinatorial_sieve, 4000037, SIEVE_CAP),
-                       (composites_in_window, 4000037, SIEVE_CAP),
-                       (literal_fixpoint_sieve, _prime_above(FIDELITY_CAP),
-                        FIDELITY_CAP)):
-        with pytest.raises(SizeOverBudget) as info:
-            fn(q)
-        assert (info.value.requested, info.value.cap) == (q, cap)
-        assert str(cap) in str(info.value)
+    # the cap is checked before primality: a composite above it, or a
+    # prime past the Miller-Rabin bound, is refused on the cap, and a q
+    # past the int-to-str limit is named by its magnitude
+    for fn, prime, cap in ((combinatorial_sieve, 4000037, SIEVE_CAP),
+                           (composites_in_window, 4000037, SIEVE_CAP),
+                           (literal_fixpoint_sieve, _prime_above(FIDELITY_CAP),
+                            FIDELITY_CAP)):
+        for q in (prime, 2 ** 1279 - 1, 2 * cap, 10 ** 5000):
+            with pytest.raises(SizeOverBudget) as info:
+                fn(q)
+            assert (info.value.requested, info.value.cap) == (q, cap)
+            assert str(cap) in str(info.value)
 
 
 def test_sieve_rejects_composite_input():
