@@ -3,12 +3,14 @@
 Evaluation maps sibling branches to multiplication and a child subtree to
 its parent prime's exponent, leaves first (exponentiation does not
 associate).  Both evaluators run one walk, _value, over a tuple of
-branches, exact or under a cap.  Inverted labels sit at the root only
-and last in it (Tree keeps them there), so eval_rational_tree splits the
-root at its first inverted branch and walks the numerator's branches and
-the denominator's apart.  Encoding inverts this by factoring; factor(1),
-the empty product, is empty.  Only encode_integer reads its table of the
-trees of 1..127.
+branches, exact or under a cap; it calls itself on non-leaf subtrees
+only.  Inverted labels sit at the root only and last in it (Tree keeps
+them there), so eval_rational_tree splits the root at its first inverted
+branch and walks the numerator's branches and the denominator's apart.
+Encoding inverts this by factoring; factor(1), the empty product, is
+empty.  encode_integer and _factor_branches read the trees of 1..127
+from a table, so only an exponent from 128 on calls encode_integer
+again.
 """
 
 from collections import Counter
@@ -17,7 +19,7 @@ from itertools import count
 from math import gcd, isqrt, prod
 
 from .errors import (DomainError, InverseLabelPresent, SizeOverBudget,
-                     ZeroInput, as_integer)
+                     ZeroInput, _approx, as_integer)
 from .primes import SMALL_PRIMES, is_prime
 from .tree_core import SINGLETON, Label, Tree
 
@@ -43,8 +45,12 @@ def encode_integer(m):
 
 
 def _factor_branches(m, inverted=False):
-    """The branch p -> (tree of e) of each prime power p^e in m >= 1."""
-    return [(Label(p, inverted), encode_integer(e)) for p, e in factor(m)]
+    """The branch p -> (tree of e) of each prime power p^e in m >= 1; e
+    within _SMALL_TREES, which is built through here, is a table read."""
+    small = _SMALL_TREES
+    return [(Label(p, inverted),
+             small[e] if e < len(small) else encode_integer(e))
+            for p, e in factor(m)]
 
 
 def eval_rational_tree(t, cap=None):
@@ -82,13 +88,6 @@ def encode_rational(num, den=1):
                 + _factor_branches(den // g, inverted=True))
 
 
-def _approx(n):
-    """n in decimal, or its magnitude ~10^k when n has more than 30 digits
-    (huge counts overflow the int-to-str conversion limit)."""
-    digits = n.bit_length() * 30103 // 100000 + 1
-    return str(n) if digits <= 30 else f"~10^{digits - 1}"
-
-
 def _max_exponent(bound, base):
     """An upper bound on the largest e with base**e <= bound (base >= 2),
     exact for base 2, and negative for bound 0: base >= 2**(k - 1) for k
@@ -98,17 +97,21 @@ def _max_exponent(bound, base):
 
 def _value(branches, bound=None):
     """The product of p^e over branches p -> (tree of e), none inverted;
-    given a bound, None once the product passes it."""
+    given a bound, None once the product passes it.  A leaf is p^1, taken
+    with no call."""
     if bound is not None and bound < 1:
         return None
     value = 1
     for label, sub in branches:
         p = label.prime
-        e = _value(sub.branches,
-                   None if bound is None else _max_exponent(bound, p))
-        if e is None:
-            return None
-        value *= p ** e
+        if sub.branches:
+            e = _value(sub.branches,
+                       None if bound is None else _max_exponent(bound, p))
+            if e is None:
+                return None
+            value *= p ** e
+        else:
+            value *= p
         if bound is not None and value > bound:
             return None
     return value

@@ -42,6 +42,15 @@ class ParseError(DomainError):
     """Malformed tree text."""
 
 
+def _approx(n):
+    """n in decimal when it has at most 30 digits, else its magnitude ~10^k
+    (an int past 4,300 digits overflows the int-to-str conversion limit)."""
+    if -10 ** 30 < n < 10 ** 30:
+        return str(n)
+    digits = n.bit_length() * 30103 // 100000 + 1
+    return f"{'-' if n < 0 else ''}~10^{digits - 1}"
+
+
 def as_integer(value):
     """value as an int, for anything operator.index takes (not a float or a
     string); DomainError otherwise."""

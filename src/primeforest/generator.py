@@ -15,13 +15,17 @@ over exponent trees from the same call at the bound's bit length.
 import itertools
 from bisect import bisect_right
 
-from .codec import _approx, _max_exponent
-from .errors import DomainError, SizeOverBudget, as_integer
+from .codec import _max_exponent
+from .errors import DomainError, SizeOverBudget, _approx, as_integer
 from .forest_algebra import Forest, ordered_trees
 from .primes import first_primes, primes_upto
 from .tree_core import SINGLETON, Label, Tree, graft
 
 DEFAULT_CAP = 10 ** 7
+# an uncapped count of more than this many bits (about 1.26 million digits)
+# is refused before its power is taken: the last power of a count near it
+# takes about 0.25 s (Python 3.11, 2 vCPU), 3x more per doubling of bits
+COUNT_BIT_CAP = 1 << 22
 
 
 def g_count(n, h, cap=None):
@@ -34,7 +38,7 @@ def g_count(n, h, cap=None):
     step is taken.  A negative or non-integer n, h or cap raises DomainError.
     """
     n, h, cap = _integers(n, h, cap)
-    what = f"g_count({n}, {h})"
+    what = f"g_count({_approx(n)}, {_approx(h)})"
     for name, value in (("n", n), ("h", h)):
         if value < 0:
             raise DomainError(f"{what}: {name} must be >= 0")
@@ -54,8 +58,12 @@ def _integers(*values):
 def _capped_power(base, n, cap, what):
     """base ** n, a count named `what`.  Given a cap, a power above it
     raises SizeOverBudget; a power whose bit length alone passes the cap
-    is refused before it is built."""
+    is refused before it is built.  With no cap, so is a power past
+    COUNT_BIT_CAP bits, as base ** n has more than n * (bit length - 1)."""
     if cap is None:
+        if base > 1 and n * (base.bit_length() - 1) >= COUNT_BIT_CAP:
+            raise SizeOverBudget(f"{what} has more than {COUNT_BIT_CAP} bits",
+                                 cap=COUNT_BIT_CAP)
         return base ** n
     if base > 1 and n > _max_exponent(cap, base):
         raise SizeOverBudget(f"{what} exceeds the cap {_approx(cap)}",
@@ -77,8 +85,8 @@ def _check_listing(n, h):
         work += n * g_count(n, k)
         if work > DEFAULT_CAP:
             raise SizeOverBudget(
-                f"listing g_forest({n}, {h}) takes more than {DEFAULT_CAP} "
-                f"steps", requested=work, cap=DEFAULT_CAP)
+                f"listing g_forest({_approx(n)}, {_approx(h)}) takes more "
+                f"than {DEFAULT_CAP} steps", requested=work, cap=DEFAULT_CAP)
 
 
 def g_forest(n, h):
@@ -145,8 +153,9 @@ def bounded_value_trees(prime_indices, bound):
     """
     bound = as_integer(bound)
     if bound > DEFAULT_CAP:
-        raise SizeOverBudget(f"bound {bound} exceeds the cap {DEFAULT_CAP}",
-                             requested=bound, cap=DEFAULT_CAP)
+        raise SizeOverBudget(
+            f"bound {_approx(bound)} exceeds the cap {DEFAULT_CAP}",
+            requested=bound, cap=DEFAULT_CAP)
     primes = primes_upto(bound)
     r = prime_indices
     if isinstance(r, range) and r.step > 0:

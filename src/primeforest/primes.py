@@ -18,14 +18,18 @@ primes_upto sieves, prime_index_of(p) is pi(p) - 1 by a Lucy-style count
 (Lagarias, Miller and Odlyzko 1985), and prime_by_index counts the primes
 below Dusart's bracket on the k-th prime and sieves the bracket.  Primes,
 indices and bounds past PRIME_CAP = 10^8 raise SizeOverBudget with
-``requested`` and ``cap``; non-integers raise DomainError.
+``requested`` and ``cap``, an index from PRIME_CAP on before any bracket;
+non-integers raise DomainError.  A refusal names a number of more than 30
+digits by its magnitude, so one of any size is refused, not left to
+overflow a float or the int-to-str limit.
 """
 
 from bisect import bisect_left, bisect_right
 from itertools import compress, islice
 from math import gcd, isqrt, log, prod
 
-from .errors import DomainError, NotPrime, SizeOverBudget, as_integer
+from .errors import (DomainError, NotPrime, SizeOverBudget, _approx,
+                     as_integer)
 
 PRIME_CAP = 10 ** 8
 # Least strong pseudoprime to all of _MR_BASES (Sorenson and Webster 2015).
@@ -63,7 +67,7 @@ SMALL_PRIMES = tuple(_primes_between(2, (1 << 16) - 1, range(2, 1 << 8)))
 
 def _over_cap(what, requested):
     return SizeOverBudget(
-        f"{what} {requested} lies past the prime cap {PRIME_CAP}",
+        f"{what} {_approx(requested)} lies past the prime cap {PRIME_CAP}",
         requested=requested, cap=PRIME_CAP)
 
 
@@ -131,6 +135,8 @@ def prime_by_index(k):
         raise DomainError("prime index must be >= 0")
     if k < len(SMALL_PRIMES):
         return SMALL_PRIMES[k]
+    if k >= PRIME_CAP:
+        raise _over_cap("prime index", k)   # the k-th prime exceeds k
     # the (k+1)-th prime p_n, n >= 6, lies in (n(ln n + ln ln n - 1),
     # n(ln n + ln ln n)) (Dusart 1999; Rosser 1941), here widened by one
     n = k + 1
@@ -153,7 +159,7 @@ def prime_index_of(p):
     """
     p = as_integer(p)
     if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+        raise NotPrime(f"{_approx(p)} is not prime")
     if p < 1 << 16:
         return bisect_left(SMALL_PRIMES, p)
     if p > PRIME_CAP:
@@ -176,8 +182,8 @@ def is_prime(n):
         return False
     if n >= MR_BOUND:
         raise SizeOverBudget(
-            f"primality of {n} is undecided above the Miller-Rabin bound "
-            f"{MR_BOUND}", requested=n, cap=MR_BOUND)
+            f"primality of {_approx(n)} is undecided above the Miller-Rabin "
+            f"bound {MR_BOUND}", requested=n, cap=MR_BOUND)
     return True
 
 

@@ -15,7 +15,7 @@ import itertools
 from fractions import Fraction
 
 from .codec import eval_rational_tree
-from .errors import DomainError, as_integer
+from .errors import DomainError, _approx, as_integer
 from .forest_algebra import ordered_trees
 from .generator import (DEFAULT_CAP, _capped_power, _check_listing, _integers,
                         g_count, g_forest)
@@ -38,7 +38,7 @@ def h_count(i, m, cap=None):
     contributes nothing, or one of 2 * g_count(m, i) raised trees.  Given
     a cap, a count above it raises SizeOverBudget before it is built."""
     i, m, cap = _integers(i, m, cap)
-    what = f"h_count({i}, {m})"
+    what = f"h_count({_approx(i)}, {_approx(m)})"
     for name, value in (("i", i), ("m", m)):
         if value < 0:
             raise DomainError(f"{what}: {name} must be >= 0")

@@ -25,8 +25,9 @@ value per generation, and Miller-Rabin on a huge q is slow or undecided.
 from bisect import bisect_right
 from math import isqrt
 
-from .codec import _approx, _max_exponent, encode_integer
-from .errors import DomainError, NotPrime, SizeOverBudget, as_integer
+from .codec import _max_exponent, encode_integer
+from .errors import (DomainError, NotPrime, SizeOverBudget, _approx,
+                     as_integer)
 from .generator import _graft_generation, bounded_value_trees
 from .primes import is_prime, primes_upto
 from .tree_core import SINGLETON, Label

@@ -318,8 +318,9 @@ def parse_sexpr(text):
     tokens = iter(_tokenize(text))
     if next(tokens, None) != "(" or next(tokens, None) != "r":
         raise ParseError(f"expected '(r' at the start of {text!r}")
-    labels = {}         # token -> Label: each larger label is checked once
-    stack = [[None]]    # the root, then each open branch: label, branches
+    labels = None       # token -> Label past _SMALL_LABELS, each checked once
+    opened = []         # the label of each open branch, innermost last
+    stack = [[]]        # the branches of the root, then of each open branch
     for tok in tokens:
         if tok == "(":
             if len(stack) > MAX_DEPTH:
@@ -328,17 +329,20 @@ def parse_sexpr(text):
             tok = next(tokens, None)
             if tok is None:
                 raise ParseError(f"unterminated branch in {text!r}")
-            label = _SMALL_LABELS.get(tok) or labels.get(tok)
+            label = _SMALL_LABELS.get(tok)
             if label is None:
-                label = labels[tok] = _parse_label(tok)
-            stack.append([label])
+                labels = labels or {}   # made at the first miss
+                label = labels[tok] = labels.get(tok) or _parse_label(tok)
+            opened.append(label)
+            stack.append([])
         elif tok == ")":
-            label, *children = stack.pop()
+            children = stack.pop()
             if not stack:
                 if next(tokens, None) is not None:
                     raise ParseError(f"trailing tokens in {text!r}")
                 return Tree(children)
-            stack[-1].append((label, Tree(children) if children else SINGLETON))
+            stack[-1].append((opened.pop(),
+                              Tree(children) if children else SINGLETON))
         else:
             raise ParseError(f"stray token {tok!r} in {text!r}")
     raise ParseError(f"unterminated tree in {text!r}")

@@ -1,9 +1,22 @@
 import random
+import warnings
 
 import pytest
 
 from primeforest.primes import prime_by_index
 from primeforest.tree_core import SINGLETON, Label, Tree
+
+# hypothesis's pytest plugin imports this module inside its report hook
+# when a property fails.  The import can warn (a DeprecationWarning from
+# mypy_extensions), which filterwarnings = error turns into an
+# INTERNALERROR that ends the session; imported here first, the hook finds
+# it loaded and reports the failure
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 def random_tree(rng, labels, max_height, stop=0.35):

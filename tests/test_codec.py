@@ -18,7 +18,7 @@ from primeforest.codec import (
 from primeforest.errors import (DomainError, InverseLabelPresent,
                                 SizeOverBudget, ZeroInput)
 from primeforest.generator import g_forest
-from primeforest.primes import is_prime
+from primeforest.primes import is_prime, primes_upto
 from primeforest.tree_core import (
     SINGLETON,
     Label,
@@ -175,6 +175,68 @@ def test_a_cap_bounds_the_denominator_as_the_numerator(p, q, offset):
         _refused(t, cap)
 
 
+def _value_per_vertex(branches, bound=None):
+    """codec._value with one call per vertex, leaves included: the walk
+    that taking a leaf's exponent inline must agree with."""
+    if bound is not None and bound < 1:
+        return None
+    value = 1
+    for label, sub in branches:
+        e = _value_per_vertex(
+            sub.branches,
+            None if bound is None else codec._max_exponent(bound, label.prime))
+        if e is None:
+            return None
+        value *= label.prime ** e
+        if bound is not None and value > bound:
+            return None
+    return value
+
+
+def _num_den(t):
+    """t's plain root branches and its inverted ones, made plain."""
+    num = tuple(b for b in t.branches if not b[0].inverted)
+    den = tuple((label._replace(inverted=False), sub)
+                for label, sub in t.branches if label.inverted)
+    return num, den
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 10 ** 6),
+       st.integers(1, 10 ** 6), st.sampled_from(primes_upto(2000)))
+def test_inline_leaf_exponents_agree_with_a_call_per_vertex(seed, p, q, leaf):
+    rng = random.Random(seed)
+    # exact values stay small: height 2 over six labels, 3 over two
+    a = random_tree(rng, range(0, 6, 2), 2)
+    b = random_tree(rng, range(1, 6, 2), 2)
+    inverted = tuple((label._replace(inverted=True), sub)
+                     for label, sub in b.branches)
+    trees = [random_tree(rng, range(6), 2), random_tree(rng, range(2), 3),
+             Tree(a.branches + inverted), encode_rational(p, q)]
+    # with a root leaf of the drawn prime, which alone passes the cap
+    # leaf - 1 tried below
+    trees += [Tree(t.branches + ((Label(leaf), SINGLETON),)) for t in trees
+              if leaf not in {label.prime for label, _ in t.branches}]
+    for t in trees:
+        num, den = _num_den(t)
+        n, d = _value_per_vertex(num), _value_per_vertex(den)
+        assert eval_rational_tree(t) == Fraction(n, d)
+        if not den:
+            assert eval_integer_tree(t) == n
+        v = max(n, d)
+        caps = [v - 1, v, v + 1]
+        caps += [label.prime - 1 for label, sub in t.branches
+                 if not sub.branches]
+        for cap in caps:
+            for branches in (num, den):
+                assert codec._value(branches, cap) \
+                    == _value_per_vertex(branches, cap)
+            if v <= cap:
+                assert eval_rational_tree(t, cap=cap) == Fraction(n, d)
+            else:
+                _refused(t, cap)
+
+
 def test_eval_bounded_overbound():
     t = parse_sexpr("(r (2 (3 (2))))")  # 512
     _refused(t, 500)
@@ -284,15 +346,16 @@ def test_large_exponents_take_the_recursive_fallback(monkeypatch):
         return encode_integer(m)
 
     monkeypatch.setattr(codec, "encode_integer", spying_encode)
-    # exponents below 128 are table reads inside encode_integer
+    # exponents below 128 are table reads in _factor_branches, with no
+    # encode_integer call
     for m, large in ((2 ** 200, [200]), (3 ** 130 * 5, [130]),
                      (2 ** 127 * 3 ** 127, [])):
         calls.clear()
         tree = encode_integer(m)
-        assert [e for e in calls if e >= 128] == large
+        assert calls == large
         assert tree == _reference_encode(m)
         assert eval_integer_tree(parse_sexpr(to_sexpr(tree))) == m
     calls.clear()
     assert encode_rational(5, 2 ** 200) == Tree(
         ((Label(5), SINGLETON), (Label(2, True), _reference_encode(200))))
-    assert [e for e in calls if e >= 128] == [200]
+    assert calls == [200]

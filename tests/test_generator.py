@@ -4,9 +4,10 @@ import pytest
 
 from primeforest.codec import (encode_integer, encode_rational,
                               eval_integer_tree, eval_rational_tree)
-from primeforest.errors import DomainError, SizeOverBudget
+from primeforest.errors import DomainError, SizeOverBudget, _approx
 from primeforest.forest_algebra import Forest, graft_forests, raise_forest
 from primeforest.generator import (
+    COUNT_BIT_CAP,
     DEFAULT_CAP,
     _graft_generation,
     all_valid_trees_bruteforce,
@@ -15,7 +16,8 @@ from primeforest.generator import (
     g_forest,
     g_trees,
 )
-from primeforest.primes import prime_by_index, primes_upto
+from primeforest.primes import (first_primes, prime_by_index, prime_index_of,
+                               primes_upto)
 from primeforest.rationals import h_count, h_forest, rational_stream
 from primeforest.sieve import combinatorial_sieve, eratosthenes
 from primeforest.tree_core import (SINGLETON, Label, label_tree, parse_sexpr,
@@ -93,6 +95,58 @@ _THREE_FOURTHS = encode_rational(3, 4)
 def test_non_integer_sizes_and_caps_are_refused(call):
     with pytest.raises(DomainError, match="not an integer|must be a str"):
         call()
+
+
+_BIG = 10 ** 5000    # past the 4,300-digit int-to-str conversion limit
+
+
+@pytest.mark.parametrize("call", [
+    lambda: prime_by_index(_BIG),
+    lambda: first_primes(_BIG),
+    lambda: label_tree(_BIG),
+    lambda: primes_upto(_BIG),
+    lambda: prime_index_of(_BIG),
+    lambda: g_count(_BIG, 1),
+    lambda: g_count(_BIG, 1, DEFAULT_CAP),
+    lambda: g_forest(_BIG, 1),
+    lambda: g_trees(_BIG, 1),
+    lambda: h_count(1, _BIG),
+    lambda: h_forest(1, _BIG),
+    lambda: bounded_value_trees(range(2), _BIG),
+], ids=["prime_by_index", "first_primes", "label_tree", "primes_upto",
+        "prime_index_of", "g_count", "g_count-cap", "g_forest", "g_trees",
+        "h_count", "h_forest", "bounded_value_trees"])
+def test_integers_past_the_print_limit_are_refused(call):
+    # a refusal names the number by its magnitude, never by str(), and
+    # nothing of its size is built or bracketed by a float
+    start = time.perf_counter()
+    with pytest.raises(DomainError) as info:
+        call()
+    assert time.perf_counter() - start < 1
+    assert "~10^" in str(info.value)
+
+
+def test_refusals_print_numbers_of_up_to_30_digits():
+    for n in (0, 7, -12, 10 ** 29, 10 ** 30 - 1, -(10 ** 30 - 1)):
+        assert _approx(n) == str(n)
+    assert _approx(10 ** 30) == "~10^30"
+    assert _approx(-_BIG) == "-~10^5000"
+    with pytest.raises(SizeOverBudget) as info:
+        prime_by_index(10 ** 30 - 1)
+    assert str(info.value) == (f"prime index {10 ** 30 - 1} lies past the "
+                               f"prime cap 100000000")
+
+
+def test_uncapped_counts_stop_at_the_bit_cap():
+    # 2^(COUNT_BIT_CAP - 1) has COUNT_BIT_CAP bits; one more label passes
+    assert g_count(COUNT_BIT_CAP - 1, 1).bit_length() == COUNT_BIT_CAP
+    with pytest.raises(SizeOverBudget, match="bits") as info:
+        g_count(COUNT_BIT_CAP, 1)
+    assert info.value.cap == COUNT_BIT_CAP
+    # a cap, when given, is the one refused
+    with pytest.raises(SizeOverBudget) as info:
+        g_count(COUNT_BIT_CAP, 1, DEFAULT_CAP)
+    assert info.value.cap == DEFAULT_CAP
 
 
 def test_listing_stops_at_the_first_empty_height():

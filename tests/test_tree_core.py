@@ -3,6 +3,7 @@ import re
 import time
 import tracemalloc
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -581,6 +582,30 @@ def test_parse_checks_each_label_text_once(monkeypatch):
     t = parse_sexpr(text)
     assert to_sexpr(t) == text
     assert sorted(checked) == [1031, 1033, 1033]
+
+
+def test_labels_below_2_10_are_table_reads(monkeypatch):
+    parsed = []
+    parse_label = tree_core._parse_label
+
+    def counting_parse_label(text):
+        parsed.append(text)
+        return parse_label(text)
+
+    monkeypatch.setattr(tree_core, "_parse_label", counting_parse_label)
+    small = [label.prime for label in tree_core._SMALL_LABELS.values()
+             if not label.inverted]
+    leaves = " ".join(f"({p})" for p in sorted(small))
+    texts = [f"(r (2 {leaves}))",
+             to_sexpr(encode_rational(prod(small[0::2]), prod(small[1::2]))),
+             to_sexpr(encode_rational(prod(small[1::2]), prod(small[0::2])))]
+    texts += [to_sexpr(encode_integer(m)) for m in range(1, 1 << 10)]
+    for text in texts:
+        assert to_sexpr(parse_sexpr(text)) == text
+    assert parsed == []
+    # a label past the table is parsed once per text
+    parse_sexpr("(r (2 (1031)) (1031 (1031)) (1/1033 (1031)))")
+    assert parsed == ["1031", "1/1033"]
 
 
 def test_small_labels_are_the_checked_labels():
