@@ -1,7 +1,8 @@
 """Command-line surface: encode, decode, forest, count, sieve, rationals,
 selftest.  Results go to stdout, diagnostics to stderr; exit codes are
-0 (ok), 1 (domain error), 2 (usage error).  forest streams its listing,
-printing each tree as the canonical enumerator yields it."""
+0 (ok), 1 (domain error), 2 (usage error).  forest streams its listing
+through generator.g_lines, which joins each tallest tree's line from its
+branches' texts; --dot walks the trees of g_trees."""
 
 import argparse
 import contextlib
@@ -121,12 +122,11 @@ def _forest_dot(forest, out):
 def _cmd_forest(args, out):
     if args.count_only:
         return _cmd_count(args, out)
-    # g_trees refuses an oversized forest before the first line is printed
-    trees = generator.g_trees(args.labels, args.height)
+    # g_trees and g_lines refuse an oversized forest before the first line
     if args.dot:
-        _forest_dot(trees, out)
+        _forest_dot(generator.g_trees(args.labels, args.height), out)
     else:
-        out.writelines(to_sexpr(t) + "\n" for t in trees)
+        out.writelines(generator.g_lines(args.labels, args.height))
     return 0
 
 

@@ -1,6 +1,8 @@
-"""Duplicate-free forests, ordered_trees (the canonical enumerator the
-library lists through) and the paper's operators graft_forests and
-raise_forest.  A Forest is a tuple of distinct trees in canonical order;
+"""Duplicate-free forests, the canonical enumerator and the paper's
+operators graft_forests and raise_forest.  One walk, _runs, gives the
+canonical order: ordered_trees builds each tree the library lists from
+it, and ordered_lines prints each from its branches' texts, building
+none.  A Forest is a tuple of distinct trees in canonical order;
 its ==, hash, in and repr are tuple's, and tree_core.same_trees compares
 two listings through the subtrees they share.  The operators,
 Forest.union and the trees property stay, with tree_core.singleton(), as
@@ -9,7 +11,7 @@ public exports, the tests' oracles and the bench's forest probe."""
 from bisect import bisect_left
 
 from .errors import DomainError, SiblingCollision
-from .tree_core import SINGLETON, Tree, graft, to_sexpr
+from .tree_core import SINGLETON, Tree, _kept_text, graft, to_sexpr
 
 
 class Forest(tuple):
@@ -77,14 +79,40 @@ def ordered_trees(labels, subs, height):
     then branch by branch the label and the subtree, so picking each
     position's label and then its subtree lists them sorted.  subs is a
     sequence in canonical order, which sorts by height first, so its tall
-    subtrees, of height `height` - 1, are a suffix.  A recursive walk
-    picks all but the last branch; the last is added per run, one run of
-    subtrees per label left: all of subs after a prefix holding a tall
-    subtree, else the tall suffix.
+    subtrees, of height `height` - 1, are a suffix.  Each (label, sub)
+    pair is built once and shared by every tree using it.
+    """
+    for prefix, run in _runs(labels, subs, height,
+                             lambda label, sub: ((label, sub),), ()):
+        yield from [Tree(prefix + piece) for piece in run]
+
+
+def ordered_lines(labels, subs, height):
+    """ordered_trees(labels, subs, height) printed, one to_sexpr text and
+    newline per tree, from the text of each branch: no tree is built."""
+    # each subtree's text is the one to_sexpr keeps on it, made once
+    runs = _runs(labels, subs, height,
+                 lambda label, sub: " (" + label.text + _kept_text(sub) + ")",
+                 "(r")
+    for prefix, run in runs:
+        yield from [prefix + piece + ")\n" for piece in run]
+
+
+def _runs(labels, subs, height, make, start):
+    """The canonical walk under ordered_trees and ordered_lines: yield
+    (prefix, run) per run of trees that differ in their last branch only.
+    prefix joins, onto `start`, the pieces of every branch but the last,
+    and run lists the last branch's pieces in order; make(label, sub)
+    makes each branch's piece once.  A recursive walk picks all but the
+    last branch; the last takes one run per label left: all of subs after
+    a prefix holding a tall subtree, else the tall suffix.
     """
     cut = bisect_left(subs, height - 1, key=lambda sub: sub.height)
-    # each (label, sub) pair is built once and shared by every tree using it
-    pairs = [[(label, sub) for sub in subs] for label in labels]
+    primes = len({label.prime for label in labels})
+    # one prime allows one branch, so the walk reads only tall pieces
+    skip = cut if primes == 1 else 0
+    pieces = [[make(label, sub) for sub in subs[skip:]] for label in labels]
+    cut -= skip
 
     def prefixes(arity, rest, prefix, has_tall):
         # rest: indices of the labels whose primes are still free, ascending
@@ -94,13 +122,12 @@ def ordered_trees(labels, subs, height):
         for n, i in enumerate(rest[:len(rest) - arity]):
             later = [j for j in rest[n + 1:]
                      if labels[j].prime != labels[i].prime]
-            for k, pair in enumerate(pairs[i]):
-                yield from prefixes(arity - 1, later, prefix + (pair,),
+            for k, piece in enumerate(pieces[i]):
+                yield from prefixes(arity - 1, later, prefix + piece,
                                     has_tall or k >= cut)
 
-    for arity in range(1, len({label.prime for label in labels}) + 1):
+    for arity in range(1, primes + 1):
         for prefix, has_tall, rest in prefixes(arity - 1, range(len(labels)),
-                                               (), False):
+                                               start, False):
             for j in rest:
-                run = pairs[j] if has_tall else pairs[j][cut:]
-                yield from [Tree(prefix + (pair,)) for pair in run]
+                yield prefix, pieces[j] if has_tall else pieces[j][cut:]

@@ -6,7 +6,8 @@ paper builds by grafting and raising.  g_count predicts its size exactly,
 all_valid_trees_bruteforce re-derives the same set from subtrees of the
 complete n-ary tree; both refuse more than DEFAULT_CAP trees or as much
 enumeration work.  g_trees streams g_forest's listing, holding only the
-trees below height h.
+trees below height h, and g_lines prints it from the same walk, building
+no tree of height h.
 bounded_value_trees prunes by integer value instead of height: it is one
 step of the fidelity sieve's grafting and raising, _graft_generation,
 over exponent trees from the same call at the bound's bit length.
@@ -17,9 +18,9 @@ from bisect import bisect_right
 
 from .codec import _max_exponent
 from .errors import DomainError, SizeOverBudget, _approx, as_integer
-from .forest_algebra import Forest, ordered_trees
+from .forest_algebra import Forest, ordered_lines, ordered_trees
 from .primes import first_primes, primes_upto
-from .tree_core import SINGLETON, Label, Tree, graft
+from .tree_core import SINGLETON, Label, Tree, graft, to_sexpr
 
 DEFAULT_CAP = 10 ** 7
 # an uncapped count of more than this many bits (about 1.26 million digits)
@@ -105,12 +106,25 @@ def g_trees(n, h):
     """Iterator over g_forest(n, h) in the same order, keeping only the
     trees below height h.  A listing over DEFAULT_CAP is refused here,
     before the first tree is taken."""
+    lower, labels = _below(n, h)
+    return itertools.chain(lower, ordered_trees(labels, lower, h))
+
+
+def g_lines(n, h):
+    """g_trees(n, h) as lines of to_sexpr text, refused alike; the lines
+    of height h are joined from their branches' texts, building no tree."""
+    lower, labels = _below(n, h)
+    return itertools.chain((to_sexpr(t) + "\n" for t in lower),
+                           ordered_lines(labels, lower, h))
+
+
+def _below(n, h):
+    """A checked listing's trees below height h (at h = 0, the singleton)
+    and the labels of its height h."""
     _check_listing(n, h)
     if h == 0:
-        return iter(g_forest(n, 0))
-    lower = g_forest(n, h - 1)
-    labels = [Label(p) for p in first_primes(n)]
-    return itertools.chain(lower, ordered_trees(labels, lower, h))
+        return g_forest(n, 0), []
+    return g_forest(n, h - 1), [Label(p) for p in first_primes(n)]
 
 
 def all_valid_trees_bruteforce(n, h):

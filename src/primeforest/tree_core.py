@@ -24,7 +24,7 @@ import functools
 from bisect import bisect_left
 from typing import NamedTuple
 
-from .errors import MisplacedInverse, ParseError, SiblingCollision
+from .errors import MisplacedInverse, ParseError, SiblingCollision, _approx
 from .primes import SMALL_PRIMES, is_prime, prime_by_index
 
 MAX_DEPTH = 200
@@ -66,7 +66,7 @@ class Tree:
     whose hash is deferred too.
     """
 
-    # _text is unset until to_sexpr keeps the tree's printed branches there
+    # _text is unset until _kept_text keeps the tree's printed branches there
     __slots__ = ("branches", "height", "_hash", "_text")
 
     def __init__(self, branches=()):
@@ -106,10 +106,11 @@ class Tree:
             if resorted:
                 # the branch the sorted input stopped at holds its first fault
                 if label.prime == prime or label.prime in plain:
-                    raise SiblingCollision(
-                        f"sibling labels repeat the prime {label.prime}")
-                raise MisplacedInverse(
-                    f"inverted label below vertex {label.text}")
+                    raise SiblingCollision("sibling labels repeat the prime "
+                                           + _approx(label.prime))
+                raise MisplacedInverse("inverted label below vertex "
+                                       + "1/" * label.inverted
+                                       + _approx(label.prime))
             # a fault in unsorted input may not be the first in canonical
             # order, so any stop sorts the input and checks it once more
             branches = tuple(sorted(branches, key=lambda b: b[0].sort_rank))
@@ -279,14 +280,19 @@ def to_sexpr(t):
     for label, sub in t.branches:
         out.append(_OPEN.get(label) or " (" + label.text)
         if sub.branches:
-            try:
-                out.append(sub._text)
-            except AttributeError:
-                out.append(_branches_text(sub))
-                _SET_TEXT(sub, out[-1])
+            out.append(_kept_text(sub))
         out.append(")")
     out.append(")")
     return "".join(out)
+
+
+def _kept_text(t):
+    """The text of t's branches, kept on t from its first use on."""
+    try:
+        return t._text
+    except AttributeError:
+        _SET_TEXT(t, _branches_text(t))
+        return t._text
 
 
 def _branches_text(t):

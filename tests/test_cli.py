@@ -138,6 +138,23 @@ def test_forest_listing_holds_no_forest():
     assert peak < 2 * 2 ** 20
 
 
+def test_forest_listing_builds_no_tree_only_to_print_it(monkeypatch):
+    # the lines of the 83,505 trees of height 2 are joined from the texts
+    # of their branches; only the 15 trees of height 1 are built
+    built = []
+    init = Tree.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tree, "__init__", counted)
+    with open(os.devnull, "w") as sink:
+        code = run(["forest", "--labels", "4", "--height", "2"], out=sink)
+    assert code == 0
+    assert 0 < len(built) < 1000
+
+
 def test_forest_dot():
     code, out, _ = invoke("forest", "--labels", "1", "--height", "1", "--dot")
     assert code == 0

@@ -10,10 +10,11 @@ from primeforest.errors import DomainError, SiblingCollision
 from primeforest.forest_algebra import (
     Forest,
     graft_forests,
+    ordered_lines,
     ordered_trees,
     raise_forest,
 )
-from primeforest.generator import g_forest, g_trees
+from primeforest.generator import g_forest, g_lines, g_trees
 from primeforest.primes import first_primes
 from primeforest.tree_core import (
     SINGLETON, Label, Tree, _cmp, label_tree, parse_sexpr, same_trees,
@@ -182,6 +183,9 @@ def test_ordered_trees_matches_the_reference(n, height, signed):
         subs = subs[:8:3] + subs[8::60]
     listed = list(ordered_trees(labels, subs, height))
     assert listed and listed == _reference(labels, subs, height)
+    # the line lister walks the same order from the branches' texts
+    assert list(ordered_lines(labels, subs, height)) == [
+        to_sexpr(t) + "\n" for t in listed]
 
 
 @pytest.mark.parametrize("signed", [False, True])
@@ -204,3 +208,10 @@ def test_listed_trees_share_their_branch_pairs():
     # each (label, subtree) pair is one object, whichever tree holds it
     tall = [t for t in g_trees(4, 2) if t.height == 2]
     assert len({id(branch) for t in tall for branch in t.branches}) == 4 * 16
+
+
+@pytest.mark.parametrize("n, h", [(0, 5), (5, 0), (1, 40), (2, 3), (3, 2),
+                                  (4, 2), (6, 1)])
+def test_the_line_listing_prints_the_tree_listing(n, h):
+    assert "".join(g_lines(n, h)) == "".join(to_sexpr(t) + "\n"
+                                             for t in g_trees(n, h))

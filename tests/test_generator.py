@@ -1,4 +1,6 @@
+import os
 import time
+import tracemalloc
 
 import pytest
 
@@ -14,6 +16,7 @@ from primeforest.generator import (
     bounded_value_trees,
     g_count,
     g_forest,
+    g_lines,
     g_trees,
 )
 from primeforest.primes import (first_primes, prime_by_index, prime_index_of,
@@ -21,7 +24,7 @@ from primeforest.primes import (first_primes, prime_by_index, prime_index_of,
 from primeforest.rationals import h_count, h_forest, rational_stream
 from primeforest.sieve import combinatorial_sieve, eratosthenes
 from primeforest.tree_core import (SINGLETON, Label, label_tree, parse_sexpr,
-                                   same_trees)
+                                   same_trees, to_sexpr)
 
 
 def test_g_count_values():
@@ -47,7 +50,7 @@ def test_g_count_takes_no_steps_for_at_most_one_label():
         == (DEFAULT_CAP + 1, DEFAULT_CAP)
 
 
-@pytest.mark.parametrize("size", [g_count, g_forest, g_trees,
+@pytest.mark.parametrize("size", [g_count, g_forest, g_trees, g_lines,
                                   all_valid_trees_bruteforce, h_count,
                                   h_forest])
 @pytest.mark.parametrize("args", [(-1, 2), (2, -1), (-1, -1)])
@@ -71,6 +74,7 @@ _THREE_FOURTHS = encode_rational(3, 4)
     lambda: h_count(1, 1, cap="5"),
     lambda: g_forest(2, 1.0),
     lambda: g_trees(2, 1.0),
+    lambda: g_lines(2, 1.0),
     lambda: all_valid_trees_bruteforce(2, 1.0),
     lambda: h_forest(1, 1.0),
     lambda: h_forest(1.0, 1),
@@ -86,7 +90,8 @@ _THREE_FOURTHS = encode_rational(3, 4)
     lambda: eratosthenes(None),
     lambda: combinatorial_sieve("10"),
 ], ids=["g_count-float", "g_count-str", "g_count-cap", "h_count-float",
-        "h_count-cap", "g_forest", "g_trees", "bruteforce", "h_forest-m",
+        "h_count-cap", "g_forest", "g_trees", "g_lines", "bruteforce",
+        "h_forest-m",
         "h_forest-i", "h_forest-str", "rational_stream-cap",
         "eval_rational_tree-cap", "parse-None", "parse-bytes",
         "bounded_value_trees-float", "bounded_value_trees-str",
@@ -110,12 +115,13 @@ _BIG = 10 ** 5000    # past the 4,300-digit int-to-str conversion limit
     lambda: g_count(_BIG, 1, DEFAULT_CAP),
     lambda: g_forest(_BIG, 1),
     lambda: g_trees(_BIG, 1),
+    lambda: g_lines(_BIG, 1),
     lambda: h_count(1, _BIG),
     lambda: h_forest(1, _BIG),
     lambda: bounded_value_trees(range(2), _BIG),
 ], ids=["prime_by_index", "first_primes", "label_tree", "primes_upto",
         "prime_index_of", "g_count", "g_count-cap", "g_forest", "g_trees",
-        "h_count", "h_forest", "bounded_value_trees"])
+        "g_lines", "h_count", "h_forest", "bounded_value_trees"])
 def test_integers_past_the_print_limit_are_refused(call):
     # a refusal names the number by its magnitude, never by str(), and
     # nothing of its size is built or bracketed by a float
@@ -261,6 +267,8 @@ def test_size_cap():
     # the 83,521 trees below height 3 are under the cap
     with pytest.raises(SizeOverBudget):
         g_trees(4, 3)
+    with pytest.raises(SizeOverBudget):
+        g_lines(4, 3)
     # S_0 = 1 is held to the cap as every other count is
     for n in (0, 1, 3):
         with pytest.raises(SizeOverBudget) as info:
@@ -272,6 +280,26 @@ def test_size_cap():
                                   (3, 2), (4, 2), (2, 3)])
 def test_g_trees_lists_g_forest_in_order(n, h):
     assert list(g_trees(n, h)) == list(g_forest(n, h))
+
+
+def _peak_writing(lines):
+    # tracemalloc's peak while the lines of lines() go to the null device
+    with open(os.devnull, "w") as sink:
+        tracemalloc.start()
+        try:
+            sink.writelines(lines())
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_a_tall_line_listing_holds_its_text_once():
+    # the text kept on the lower trees is quadratic in the height; a
+    # branch text made for every lower tree would hold it twice
+    lines = _peak_writing(lambda: g_lines(1, 600))
+    trees = _peak_writing(lambda: (to_sexpr(t) + "\n"
+                                   for t in g_trees(1, 600)))
+    assert lines <= 1.1 * trees
 
 
 def test_value_bounded_stream_examples():

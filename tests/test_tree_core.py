@@ -299,6 +299,34 @@ def test_an_inverse_behind_a_plain_label_below_the_root_is_refused():
         parse_sexpr("(r (3 (7) (1/5)))")
 
 
+_HUGE = 10 ** 5000      # past the 4,300-digit int-to-str limit
+_INVERSE_BELOW = Tree(((Label(3, True), SINGLETON),))
+
+
+@pytest.mark.parametrize("branches, fault, message", [
+    ([(Label(_HUGE), SINGLETON), (Label(_HUGE), SINGLETON)],
+     SiblingCollision, "sibling labels repeat the prime ~10^5000"),
+    ([(Label(_HUGE), SINGLETON), (Label(_HUGE, True), SINGLETON)],
+     SiblingCollision, "sibling labels repeat the prime ~10^5000"),
+    ([(Label(_HUGE), _INVERSE_BELOW)],
+     MisplacedInverse, "inverted label below vertex ~10^5000"),
+    ([(Label(_HUGE, True), _INVERSE_BELOW)],
+     MisplacedInverse, "inverted label below vertex 1/~10^5000"),
+    # up to 30 digits a prime is printed whole, as str prints it
+    ([(Label(10 ** 29 + 7), SINGLETON), (Label(10 ** 29 + 7), SINGLETON)],
+     SiblingCollision, f"sibling labels repeat the prime {10 ** 29 + 7}"),
+    ([(Label(10 ** 29 + 7, True), _INVERSE_BELOW)],
+     MisplacedInverse, f"inverted label below vertex 1/{10 ** 29 + 7}"),
+], ids=["repeated", "both-signs", "inverse-below", "inverse-below-inverse",
+        "repeated-30-digits", "inverse-below-30-digits"])
+def test_refusals_name_a_huge_prime_by_its_magnitude(branches, fault,
+                                                      message):
+    assert issubclass(fault, DomainError)
+    with pytest.raises(fault) as info:
+        Tree(branches)
+    assert str(info.value) == message
+
+
 def test_tall_generated_forests_compare_equal():
     a, b = g_forest(1, 2000), g_forest(1, 2000)
     # built apart: one memo across the pairs walks each pair of chains
